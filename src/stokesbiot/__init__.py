@@ -4,11 +4,11 @@ The package is organised bottom-up:
 
 - ``mesh``        triangulations, tagging, fracture geometry, mesh file I/O
 - ``quadrature``  triangle and edge rules
-- ``elements``    reference element families (Lagrange, MINI, Raviart-Thomas)
-- ``spaces``      finite element spaces, DOF maps, projections
+- ``elements``    reference element families (Lagrange, MINI), Raviart-Thomas monomials
+- ``spaces``      finite element spaces, DOF maps, Raviart-Thomas bases, projections
 - ``interface``   common refinement of non-matching interface traces
 - ``assembly``    bilinear forms and load functionals as sparse blocks
-- ``solver``      monolithic DAE system, backward Euler stepping, sparse LU
+- ``solver``      monolithic DAE system, constrained solves, backward Euler, sparse LU
 - ``manufactured``closed-form verification solution and source derivation
 - ``verify``      error norms, convergence studies, inf-sup and energy checks
 - ``scenarios``   fractured-reservoir runs and parameter sweeps

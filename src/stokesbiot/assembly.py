@@ -221,16 +221,6 @@ class MultiplierSpace:
             return np.ones((1,) + t.shape)
         return np.stack([1.0 - t, t])
 
-    def dof_midpoints(self) -> np.ndarray:
-        """Representative physical point per dof (for diagnostics)."""
-        pts = []
-        for e in self.pairing.poro_edges:
-            if self.order == 0:
-                pts.append(0.5 * (e.a + e.b))
-            else:
-                pts.extend([e.a, e.b])
-        return np.array(pts)
-
 
 def make_multiplier_space(pairing: InterfacePairing, order: int) -> MultiplierSpace:
     if order not in (0, 1):

@@ -17,6 +17,8 @@ import sys
 
 import numpy as np
 
+from .config import ConfigError
+
 
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="stokesbiot", description=__doc__,
@@ -188,7 +190,7 @@ def cli(argv=None) -> int:
         if args.command == "diag":
             return _cmd_diag(args)
         return 1
-    except SystemExit as exc:
+    except (SystemExit, ConfigError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failure

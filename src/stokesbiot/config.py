@@ -2,11 +2,13 @@
 
 Format: ``key = value`` lines grouped under ``[params]``, ``[time]``,
 ``[bc]``, ``[output]`` section headers.  Unknown keys and sections, duplicate
-keys and out-of-range values are rejected with the offending line number.
+keys, non-finite numbers and out-of-range values are rejected with the
+offending line number; ``--set key=value`` pairs go through the same checks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -48,6 +50,24 @@ _SCHEMA = {
 }
 
 
+def _coerce(key: str, text: str, spec, line: int):
+    """Typed, finite, range-checked value of ``key`` from its text."""
+    kind, check, why = spec
+    if kind == "str":
+        value = text
+    else:
+        try:
+            value = int(text) if kind == "int" else float(text)
+        except ValueError:
+            what = "an integer" if kind == "int" else "a number"
+            raise ConfigError(f"{key} = {text!r} is not {what}", line) from None
+        if not math.isfinite(value):
+            raise ConfigError(f"{key} = {text!r} is not finite", line)
+    if not check(value):
+        raise ConfigError(f"{key} = {text}: {why}", line)
+    return value
+
+
 def parse_config(path) -> dict:
     """Parse into {section: {key: value}} with validation."""
     with open(path) as f:
@@ -75,22 +95,7 @@ def parse_config(path) -> dict:
             raise ConfigError(f"unknown key {key!r} in [{section}]", ln)
         if key in out[section]:
             raise ConfigError(f"duplicate key {key!r}", ln)
-        kind, check, why = _SCHEMA[section][key]
-        if kind == "float":
-            try:
-                parsed = float(val)
-            except ValueError:
-                raise ConfigError(f"{key} = {val!r} is not a number", ln) from None
-        elif kind == "int":
-            try:
-                parsed = int(val)
-            except ValueError:
-                raise ConfigError(f"{key} = {val!r} is not an integer", ln) from None
-        else:
-            parsed = val
-        if not check(parsed):
-            raise ConfigError(f"{key} = {val}: {why}", ln)
-        out[section][key] = parsed
+        out[section][key] = _coerce(key, val, _SCHEMA[section][key], ln)
     return out
 
 
@@ -145,10 +150,7 @@ def apply_overrides(config, sections: dict, extra_sets: dict | None = None):
 def parse_set_pairs(pairs) -> dict:
     """Validate ``--set key=value`` pairs against the schema."""
     merged = {}
-    lookup = {}
-    for sec, keys in _SCHEMA.items():
-        for k in keys:
-            lookup[k] = (sec, *_SCHEMA[sec][k])
+    lookup = {k: spec for keys in _SCHEMA.values() for k, spec in keys.items()}
     for i, pair in enumerate(pairs or (), start=1):
         if "=" not in pair:
             raise ConfigError(f"--set expects key=value, got {pair!r}", i)
@@ -156,17 +158,5 @@ def parse_set_pairs(pairs) -> dict:
         key = key.strip().lower()
         if key not in lookup:
             raise ConfigError(f"unknown override key {key!r}", i)
-        _, kind, check, why = lookup[key]
-        if kind == "float":
-            try:
-                parsed = float(val)
-            except ValueError:
-                raise ConfigError(f"{key}={val!r} is not a number", i) from None
-        elif kind == "int":
-            parsed = int(val)
-        else:
-            parsed = val
-        if not check(parsed):
-            raise ConfigError(f"{key}={val}: {why}", i)
-        merged[key] = parsed
+        merged[key] = _coerce(key, val, lookup[key], i)
     return merged

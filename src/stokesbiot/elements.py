@@ -2,8 +2,9 @@
 
 Vertices of the reference cell are v0=(0,0), v1=(1,0), v2=(0,1); local edge i
 is opposite local vertex i.  Scalar Lagrange-type families are tabulated here;
-Raviart-Thomas bases are constructed per physical cell (see ``build_rt_basis``)
-so that global edge orientation and moment conventions are built in.
+Raviart-Thomas bases are constructed per physical cell by
+``spaces.FESpace._rt_data`` from the vector monomials below, so that global
+edge orientation and moment conventions are built in.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-from .quadrature import edge_rule, triangle_rule
 
 
 @dataclass(frozen=True)
@@ -104,68 +103,25 @@ def _check_in_reference(points, tol=1e-12):
 
 
 def eval_basis(family: str, points: np.ndarray):
-    """Reference-element basis values at ``points``.
-
-    Scalar families return (values, gradients); 'RT0' returns
-    (values, divergences) with the unit-outward-flux normalization.
-    """
+    """Reference-element basis values and gradients at ``points``."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     _check_in_reference(points)
-    if family == "RT0":
-        # phi_i = x - v_i has unit flux through edge i, zero through others
-        vals = points[None, :, :] - _VERTS[:, None, :]
-        divs = np.full((3, len(points)), 2.0)
-        return vals, divs
     if family not in SCALAR_ELEMENTS:
         raise ValueError(f"unknown element family {family!r}")
     return SCALAR_ELEMENTS[family].tabulate(points)
 
 
-def piola_map(verts: np.ndarray, ref_vals: np.ndarray, ref_divs: np.ndarray | None = None):
-    """Contravariant Piola transform of reference vector fields to the
-    affine cell ``verts`` (3, 2): v = J v_ref / det J, div v = div_ref / det J.
-
-    ``ref_vals`` has shape (..., 2).  Edge fluxes are preserved, so
-    H(div)-conforming fields stay normal-trace continuous.
-    """
-    J = np.stack([verts[1] - verts[0], verts[2] - verts[0]], axis=-1)
-    det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
-    if det <= 0:
-        raise ValueError(f"degenerate cell, det J = {det}")
-    vals = np.einsum("ab,...b->...a", J, ref_vals) / det
-    if ref_divs is None:
-        return vals
-    return vals, ref_divs / det
-
-
 # ---------------------------------------------------------------------------
-# Raviart-Thomas bases on physical (affine) cells
+# Raviart-Thomas monomials
 #
-# Degrees of freedom are defined against *global* edge conventions so that
-# normal traces are single-valued across cells:
+# ``spaces.FESpace`` builds its per-cell RT bases from these.  Degrees of
+# freedom are defined against *global* edge conventions so that normal
+# traces are single-valued across cells:
 #   n_e   = (t_y, -t_x) where t is the unit vector from the lower- to the
 #           higher-numbered global endpoint,
 #   s     = arclength parameter from the lower- to the higher-numbered end.
 # RT0 has one mean-flux dof per edge; RT1 adds a first edge moment against
 # (2s - 1) and two interior mean-value dofs.
-
-
-@dataclass
-class RTCellBasis:
-    """Nodal RT basis on one cell: coefficients over scaled vector monomials."""
-
-    order: int
-    centroid: np.ndarray
-    scale: float
-    coeffs: np.ndarray    # (n_mono, n_dofs)
-
-    def eval(self, points: np.ndarray):
-        """Values (n_dofs, n_pts, 2) and divergences (n_dofs, n_pts)."""
-        X = (np.atleast_2d(points) - self.centroid) / self.scale
-        mv, md = _rt_monomials(self.order, X)
-        vals = np.einsum("kpd,kn->npd", mv, self.coeffs) / self.scale
-        divs = np.einsum("kp,kn->np", md, self.coeffs) / self.scale**2
-        return vals, divs
 
 
 def _rt_monomials(order: int, X: np.ndarray):
@@ -186,47 +142,3 @@ def _rt_monomials(order: int, X: np.ndarray):
     vals = np.stack([np.stack(v, axis=-1) for v, _ in comp])   # (k, n, 2)
     divs = np.stack([d for _, d in comp])                       # (k, n)
     return vals, divs
-
-
-_EDGE_Q = edge_rule(5)
-_TRI_Q = triangle_rule(3)
-
-
-def build_rt_basis(order: int, verts: np.ndarray, edge_ends: np.ndarray) -> RTCellBasis:
-    """RT basis on the triangle ``verts`` (3,2).
-
-    ``edge_ends[i]`` holds the two *coordinates* (2,2) of local edge i in
-    global orientation (lower-numbered endpoint first).  Dof ordering:
-    edge0 moments, edge1 moments, edge2 moments, then interior moments.
-    """
-    centroid = verts.mean(axis=0)
-    u, v = verts[1] - verts[0], verts[2] - verts[0]
-    area = 0.5 * abs(u[0] * v[1] - u[1] * v[0])
-    scale = np.sqrt(area)
-    n_mono = 3 if order == 0 else 8
-    n_edge_m = 1 if order == 0 else 2
-    M = np.zeros((n_mono, n_mono))
-    row = 0
-    sq, wq = _EDGE_Q.points, _EDGE_Q.weights
-    for i in range(3):
-        A, B = edge_ends[i]
-        t = B - A
-        L = np.linalg.norm(t)
-        n = np.array([t[1], -t[0]]) / L
-        pts = A[None, :] + sq[:, None] * t[None, :]
-        mv, _ = _rt_monomials(order, (pts - centroid) / scale)
-        flux = np.einsum("kpd,d->kp", mv, n) / scale
-        M[row] = flux @ (wq * L)
-        row += 1
-        if n_edge_m == 2:
-            M[row] = flux @ (wq * L * (2.0 * sq - 1.0))
-            row += 1
-    if order == 1:
-        ref = _TRI_Q.points
-        pts = verts[0] + ref @ np.stack([verts[1] - verts[0], verts[2] - verts[0]])
-        w = _TRI_Q.weights * 2.0 * area
-        mv, _ = _rt_monomials(order, (pts - centroid) / scale)
-        M[row] = np.einsum("kpd,p->kd", mv, w)[:, 0] / (scale * area)
-        M[row + 1] = np.einsum("kpd,p->kd", mv, w)[:, 1] / (scale * area)
-    coeffs = np.linalg.solve(M, np.eye(n_mono))
-    return RTCellBasis(order=order, centroid=centroid, scale=scale, coeffs=coeffs)

@@ -6,10 +6,10 @@ coupling to the structure velocity, interface constraint on the structure)
 and the stationary part H; one step solves (E / tau + H) X^{n+1} =
 L(t_{n+1}) + E X^n / tau.
 
-Essential conditions are imposed by rotating constrained velocity /
-displacement node pairs into normal-tangential form where needed, then
-eliminating rows and columns with a symmetric right-hand side correction.
-The step matrix is factorized once and reused.
+Essential conditions are imposed by ``ConstrainedOperator``: it rotates
+constrained velocity / displacement node pairs into normal-tangential form
+where needed, then eliminates rows and columns with a symmetric right-hand
+side correction.  The step matrix is factorized once and reused.
 """
 
 from __future__ import annotations
@@ -81,10 +81,6 @@ class LUSolver:
         return x
 
 
-def sparse_lu(M) -> LUSolver:
-    return LUSolver(M)
-
-
 # ---------------------------------------------------------------------------
 # essential boundary conditions
 
@@ -125,6 +121,12 @@ class Constraints:
             R[dx, dx], R[dx, dy] = nx, ny
             R[dy, dx], R[dy, dy] = -ny, nx
         return R.tocsr()
+
+    def free(self, n: int) -> np.ndarray:
+        """Sorted ids of the unconstrained dofs among ``n``."""
+        mask = np.ones(n, dtype=bool)
+        mask[self.fixed] = False
+        return np.nonzero(mask)[0]
 
     def values(self, t: float) -> np.ndarray:
         g = np.zeros(len(self.fixed))
@@ -215,6 +217,48 @@ def build_constraints(spaces: dict, offsets: dict, bcs: list) -> Constraints:
     return Constraints(rotations=rotations, fixed=fixed, _value_parts=value_parts)
 
 
+class ConstrainedOperator:
+    """A square operator with its essential conditions eliminated.
+
+    The constrained node pairs are rotated once, the dofs split into free and
+    fixed, and the free block factorized (unless ``factorize`` is false).
+    Vectors passed in and returned are in the unrotated frame.
+    """
+
+    def __init__(self, A, constraints: Constraints, factorize: bool = True):
+        self.n = A.shape[0]
+        self.R = constraints.rotation(self.n)
+        At = A if self.R is None else (self.R @ A @ self.R.T).tocsr()
+        self.fixed = constraints.fixed
+        self.free = constraints.free(self.n)
+        rows = At[self.free]
+        self.A_ff, self.A_fc = rows[:, self.free], rows[:, self.fixed]
+        del At, rows      # not held while factorizing: lowers peak memory
+        self.lu = LUSolver(self.A_ff) if factorize else None
+
+    def solve(self, rhs: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
+        """Solution with fixed dofs set to ``g`` (zero by default).
+
+        ``rhs`` is (n,) or (n, k); ``g`` matches it on the fixed dofs.
+        """
+        if self.R is not None:
+            rhs = self.R @ rhs
+        if g is None:
+            g = np.zeros((len(self.fixed),) + rhs.shape[1:])
+        X = np.empty(rhs.shape)
+        X[self.free] = self.lu.solve(rhs[self.free] - self.A_fc @ g)
+        X[self.fixed] = g
+        return X if self.R is None else self.R.T @ X
+
+    def reaction(self, r: np.ndarray) -> np.ndarray:
+        """The part of the residual ``r`` on the constrained rows."""
+        if self.R is not None:
+            r = self.R @ r
+        out = np.zeros(r.shape)
+        out[self.fixed] = r[self.fixed]
+        return out if self.R is None else self.R.T @ out
+
+
 # ---------------------------------------------------------------------------
 # the coupled system
 
@@ -291,15 +335,8 @@ class CoupledSystem:
         self.M = (self.E / tau + self.H).tocsr()
 
         self.constraints = build_constraints(spaces, self.offsets, bcs)
-        self.R = self.constraints.rotation(self.n_dofs)
-        Mt = self.M if self.R is None else (self.R @ self.M @ self.R.T).tocsr()
-        self.fixed = self.constraints.fixed
-        mask = np.ones(self.n_dofs, dtype=bool)
-        mask[self.fixed] = False
-        self.free = np.nonzero(mask)[0]
-        self.M_ff = Mt[self.free][:, self.free]
-        self.M_fc = Mt[self.free][:, self.fixed]
-        self.lu = LUSolver(self.M_ff) if factorize else None
+        self.op = ConstrainedOperator(self.M, self.constraints, factorize)
+        self.M_ff, self.lu = self.op.A_ff, self.op.lu
         self._load_cache = {}
 
     def _check_block_dims(self) -> None:
@@ -389,18 +426,7 @@ class CoupledSystem:
         ])
         cons = build_constraints(self.spaces, {"uf": offs["uf"], "up": offs["up"]},
                                  [bc for bc in self.bcs if bc.field in ("uf", "up")])
-        R = cons.rotation(off)
-        At = A if R is None else (R @ A @ R.T).tocsr()
-        rhs_r = rhs if R is None else R @ rhs
-        mask = np.ones(off, dtype=bool)
-        mask[cons.fixed] = False
-        free = np.nonzero(mask)[0]
-        g = cons.values(0.0)
-        x = np.zeros(off)
-        x[cons.fixed] = g
-        x[free] = LUSolver(At[free][:, free]).solve(rhs_r[free] - At[free][:, cons.fixed] @ g)
-        if R is not None:
-            x = R.T @ x
+        x = ConstrainedOperator(A, cons).solve(rhs, cons.values(0.0))
         for n in ("uf", "up", "pf", "lam"):
             self.view(state.X, n)[:] = x[offs[n]:offs[n] + sizes[n]]
 
@@ -409,14 +435,7 @@ class CoupledSystem:
     def step(self, state: TransientState) -> TransientState:
         t1 = (state.n + 1) * self.tau
         rhs = self.load(t1) + (self.E @ state.X) / self.tau
-        if self.R is not None:
-            rhs = self.R @ rhs
-        g = self.constraints.values(t1)
-        xf = self.lu.solve(rhs[self.free] - self.M_fc @ g)
-        Xr = np.empty(self.n_dofs)
-        Xr[self.free] = xf
-        Xr[self.fixed] = g
-        X = Xr if self.R is None else self.R.T @ Xr
+        X = self.op.solve(rhs, self.constraints.values(t1))
         return TransientState(X=X, n=state.n + 1, tau=self.tau)
 
     # -- diagnostics --------------------------------------------------------------
@@ -439,13 +458,7 @@ class CoupledSystem:
         accuracy.
         """
         r = self.M @ state.X - self.load(state.t) - (self.E @ prev.X) / self.tau
-        if self.R is not None:
-            r = self.R @ r
-        out = np.zeros(self.n_dofs)
-        out[self.fixed] = r[self.fixed]
-        if self.R is not None:
-            out = self.R.T @ out
-        return out
+        return self.op.reaction(r)
 
 
 def _bmat_fields(rows, sizes: dict) -> sp.csr_matrix:

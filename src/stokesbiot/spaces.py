@@ -109,7 +109,8 @@ class FESpace:
         return self._cache[key]
 
     def _rt_data(self):
-        """Batched per-cell RT basis coefficients (see elements.build_rt_basis)."""
+        """Batched per-cell RT basis coefficients: inverse dof-moment matrices of
+        ``elements._rt_monomials`` (the one RT basis construction)."""
         if "rt" in self._cache:
             return self._cache["rt"]
         mesh, order = self.mesh, self.rt_order

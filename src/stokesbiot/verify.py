@@ -22,7 +22,8 @@ from .interface import common_refinement
 from .manufactured import ManufacturedSolution, derive_sources, example1_solution, verification_params
 from .mesh import build_structured
 from .quadrature import triangle_rule
-from .solver import CoupledSystem, DirichletBC, LUSolver, TransientState, run_transient
+from .solver import (ConstrainedOperator, CoupledSystem, DirichletBC, FluxBC, TransientState,
+                     build_constraints, run_transient)
 from .spaces import FESpace, make_space
 
 NORM_KEYS = ("uf_l2H1", "pf_l2L2", "up_l2L2", "pp_linfL2", "eta_linfH1")
@@ -360,48 +361,32 @@ def discrete_energy(system: CoupledSystem, state: TransientState) -> float:
 # multiplier seminorm
 
 
-def _darcy_aux_solver(system: CoupledSystem):
-    """Factorized mixed Darcy operator with the system's flux constraints."""
+def _darcy_extension(system: CoupledSystem, mu: np.ndarray) -> np.ndarray:
+    """Darcy velocities u*(mu) of the mixed extension with Dirichlet data mu.
+
+    ``mu`` is (n_lam,) or (n_lam, k); the system's flux constraints apply.
+    """
     b = system.blocks
-    nu, npp = system.sizes["up"], system.sizes["pp"]
+    nu = system.sizes["up"]
     A = sp.bmat([[b["Ap"], -b["Dp"].T], [b["Dp"], None]], format="csr")
-    from .solver import FluxBC, build_constraints
     cons = build_constraints(system.spaces, {"up": 0},
                              [bc for bc in system.bcs if isinstance(bc, FluxBC) and bc.field == "up"])
-    mask = np.ones(nu + npp, dtype=bool)
-    mask[cons.fixed] = False
-    free = np.nonzero(mask)[0]
-    lu = LUSolver(A[free][:, free])
-    return lu, free, nu, npp
+    op = ConstrainedOperator(A, cons)
+    rhs = np.zeros((op.n,) + mu.shape[1:])
+    rhs[:nu] = -(b["Bp"].T @ mu)
+    return op.solve(rhs)[:nu]
 
 
-def multiplier_seminorm(mu_coeffs: np.ndarray, system: CoupledSystem,
-                        aux=None) -> float:
+def multiplier_seminorm(mu_coeffs: np.ndarray, system: CoupledSystem) -> float:
     """|mu|_Lambda via the discrete Darcy extension with Dirichlet data mu."""
-    lu, free, nu, npp = aux or _darcy_aux_solver(system)
-    b = system.blocks
-    rhs = np.concatenate([-(b["Bp"].T @ mu_coeffs), np.zeros(npp)])
-    x = np.zeros(nu + npp)
-    x[free] = lu.solve(rhs[free])
-    ustar = x[:nu]
-    return math.sqrt(max(0.0, ustar @ (b["Ap"] @ ustar)))
+    ustar = _darcy_extension(system, mu_coeffs)
+    return math.sqrt(max(0.0, ustar @ (system.blocks["Ap"] @ ustar)))
 
 
 def multiplier_seminorm_gram(system: CoupledSystem) -> np.ndarray:
     """Dense Gram matrix S with S_ij = a_p^d(u*(mu_i), u*(mu_j))."""
-    aux = _darcy_aux_solver(system)
-    lu, free, nu, npp = aux
-    b = system.blocks
-    nlam = system.sizes["lam"]
-    U = np.zeros((nu, nlam))
-    for j in range(nlam):
-        e = np.zeros(nlam)
-        e[j] = 1.0
-        rhs = np.concatenate([-(b["Bp"].T @ e), np.zeros(npp)])
-        x = np.zeros(nu + npp)
-        x[free] = lu.solve(rhs[free])
-        U[:, j] = x[:nu]
-    return U.T @ (b["Ap"] @ U)
+    U = _darcy_extension(system, np.eye(system.sizes["lam"]))
+    return U.T @ (system.blocks["Ap"] @ U)
 
 
 # ---------------------------------------------------------------------------
@@ -458,15 +443,12 @@ def inf_sup_estimate(system: CoupledSystem) -> float:
                          mass_matrix(system.spaces["pp"]).toarray(), G_lam)
 
     # restrict the velocity/displacement side to essentially free dofs
-    from .solver import build_constraints
     offs = {"uf": 0, "up": system.sizes["uf"], "eta": system.sizes["uf"] + system.sizes["up"]}
     cons = build_constraints(system.spaces, offs,
                              [bc for bc in system.bcs if bc.field in offs])
     if cons.rotations:
         raise ValueError("inf-sup estimate requires plain (unrotated) constraints")
-    mask = np.ones(nv, dtype=bool)
-    mask[cons.fixed] = False
-    free = np.nonzero(mask)[0]
+    free = cons.free(nv)
     Bf = B[:, free].toarray()
     GVf = G_V[free][:, free].toarray()
     A = Bf @ dla.solve(GVf, Bf.T, assume_a="pos")

@@ -249,7 +249,7 @@ def test_criterion_8_oracles(single_cell_mesh, affine_cell_mesh):
 
     from stokesbiot.assembly import (PhysicalParams, assemble_darcy_mass,
                                      assemble_elasticity, assemble_stokes_viscous)
-    from stokesbiot.solver import sparse_lu
+    from stokesbiot.solver import LUSolver
     from stokesbiot.spaces import make_space
 
     failures = []
@@ -319,8 +319,9 @@ def test_criterion_8_oracles(single_cell_mesh, affine_cell_mesh):
     for _ in range(3):
         M = rng.standard_normal((50, 50)) + 8 * np.eye(50)
         b = rng.standard_normal(50)
-        x = sparse_lu(sp.csc_matrix(M)).solve(b)
-        if np.linalg.norm(x - dense_gauss_oracle(M, b)) > 1e-10:
+        lu = LUSolver(sp.csc_matrix(M), dense_threshold=0)   # SuperLU, not dense LAPACK
+        x = lu.solve(b)
+        if lu.dense or np.linalg.norm(x - dense_gauss_oracle(M, b)) > 1e-10:
             failures.append("sparse LU vs dense oracle")
 
     report(8, "oracle equivalence", not failures, "; ".join(failures) or

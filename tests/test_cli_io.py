@@ -152,6 +152,8 @@ def test_parse_set_pairs():
         parse_set_pairs(["alpha=2.0"])
     with pytest.raises(ConfigError):
         parse_set_pairs(["bogus=1"])
+    with pytest.raises(ConfigError):
+        parse_set_pairs(["s0=inf"])
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +164,25 @@ def test_cli_usage_errors():
     assert cli(["converge", "--elements", "low", "--matching", "maybe"]) == 1
     assert cli(["bogus"]) == 1
     assert cli(["run", "--scenario", "unknown"]) == 1
+
+
+@pytest.mark.parametrize("pair,key", [
+    ("stride=x", "stride"),
+    ("tau=inf", "tau"),
+    ("foo=1", "foo"),
+])
+def test_cli_bad_set_value_is_usage_error(tmp_path, capsys, pair, key):
+    rc = cli(["run", "--scenario", "example2", "--set", pair, "--out", str(tmp_path)])
+    assert rc == 1
+    assert key in capsys.readouterr().err
+
+
+def test_cli_bad_config_value_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[output]\nstride = x\n")
+    rc = cli(["run", "--scenario", "example2", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == 1
+    assert "stride" in capsys.readouterr().err
 
 
 def test_cli_mesh_rect(tmp_path):

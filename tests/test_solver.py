@@ -4,8 +4,8 @@ import scipy.sparse as sp
 
 from stokesbiot.assembly import PhysicalParams
 from stokesbiot.manufactured import example1_solution, verification_params
-from stokesbiot.solver import (DENSE_FALLBACK, LUSolver, SingularMatrixError,
-                               TransientState, run_transient, sparse_lu)
+from stokesbiot.solver import (DENSE_FALLBACK, ConstrainedOperator, DirichletBC, LUSolver,
+                               SingularMatrixError, TransientState, run_transient)
 from stokesbiot.verify import LOW_ORDER, example1_system, run_example1
 
 
@@ -35,20 +35,31 @@ def dense_gauss_oracle(A, b):
     return x
 
 
+# dense_threshold 0 forces SuperLU; the default sends these small matrices
+# to dense LAPACK
+LU_PATHS = ((0, False), (DENSE_FALLBACK, True))
+
+
 def test_lu_identity():
     I = sp.identity(40, format="csc")
     b = np.arange(40.0)
-    assert np.allclose(sparse_lu(I).solve(b), b, atol=1e-15)
+    for threshold, dense in LU_PATHS:
+        lu = LUSolver(I, dense_threshold=threshold)
+        assert lu.dense is dense
+        assert np.allclose(lu.solve(b), b, atol=1e-15)
 
 
 def test_lu_matches_dense_elimination_oracle():
     rng = np.random.default_rng(0)
     A = rng.standard_normal((50, 50)) + 10 * np.eye(50)
     b = rng.standard_normal(50)
-    x = sparse_lu(sp.csc_matrix(A)).solve(b)
     x_star = dense_gauss_oracle(A, b)
-    assert np.linalg.norm(x - x_star) < 1e-10
-    assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) < 1e-12
+    for threshold, dense in LU_PATHS:
+        lu = LUSolver(sp.csc_matrix(A), dense_threshold=threshold)
+        assert lu.dense is dense
+        x = lu.solve(b)
+        assert np.linalg.norm(x - x_star) < 1e-10
+        assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) < 1e-12
 
 
 def test_lu_large_path_residual():
@@ -56,20 +67,76 @@ def test_lu_large_path_residual():
     n = DENSE_FALLBACK + 500
     A = sp.diags([np.full(n - 1, -1.0), np.full(n, 4.0), np.full(n - 1, -1.0)], [-1, 0, 1]).tocsc()
     b = rng.standard_normal(n)
-    x = sparse_lu(A).solve(b)
+    lu = LUSolver(A)
+    assert not lu.dense
+    x = lu.solve(b)
     assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) < 1e-12
 
 
 def test_lu_zero_row_singular():
     A = np.eye(10)
     A[4] = 0.0
-    with pytest.raises(SingularMatrixError):
-        LUSolver(sp.csc_matrix(A))
+    for threshold, _ in LU_PATHS:
+        with pytest.raises(SingularMatrixError):
+            LUSolver(sp.csc_matrix(A), dense_threshold=threshold)
 
 
 def test_lu_rejects_nonsquare():
     with pytest.raises(ValueError):
         LUSolver(sp.csc_matrix(np.ones((3, 4))))
+
+
+# ---------------------------------------------------------------------------
+# constrained operator
+
+
+@pytest.fixture(scope="module")
+def slip_problem():
+    """Step matrix with slip walls (rotated node pairs) and nonzero data."""
+    bcs = [DirichletBC("uf", ("wall",), normal_only=True),
+           DirichletBC("eta", ("outer",),
+                       value=lambda p, t: np.column_stack([1.0 + p[:, 0], t * p[:, 1]]))]
+    system = example1_system(4, LOW_ORDER, data_override={}, bcs_override=bcs, factorize=False)
+    cons = system.constraints
+    assert cons.rotations
+    R = cons.rotation(system.n_dofs)
+    rng = np.random.default_rng(3)
+    rhs = rng.standard_normal((system.n_dofs, 3))
+    G = np.column_stack([cons.values(t) for t in (0.0, 0.5, 1.0)])
+    op = ConstrainedOperator(system.M, cons)
+    return system.M, cons, R, op, rhs, G
+
+
+def test_constrained_fixed_dofs_take_data(slip_problem):
+    M, cons, R, op, rhs, G = slip_problem
+    x = op.solve(rhs[:, 1], G[:, 1])
+    assert np.abs((R @ x)[cons.fixed] - G[:, 1]).max() < 1e-14 * np.abs(G).max()
+
+
+def test_constrained_free_rows_residual(slip_problem):
+    M, cons, R, op, rhs, G = slip_problem
+    free = cons.free(M.shape[0])
+    x = op.solve(rhs[:, 1], G[:, 1])
+    r = (R @ (M @ x - rhs[:, 1]))[free]
+    assert np.linalg.norm(r) <= 1e-12 * np.linalg.norm((R @ rhs[:, 1])[free])
+
+
+def test_constrained_reaction_on_fixed_rows_only(slip_problem):
+    M, cons, R, op, rhs, G = slip_problem
+    free = cons.free(M.shape[0])
+    x = op.solve(rhs[:, 1], G[:, 1])
+    r = M @ x - rhs[:, 1]
+    react = R @ op.reaction(r)
+    assert np.abs(react[free]).max() <= 1e-14 * np.abs(r).max()
+    assert np.abs(react[cons.fixed] - (R @ r)[cons.fixed]).max() <= 1e-14 * np.abs(r).max()
+
+
+def test_constrained_2d_rhs_matches_columns(slip_problem):
+    M, cons, R, op, rhs, G = slip_problem
+    X = op.solve(rhs, G)
+    for j in range(rhs.shape[1]):
+        x = op.solve(rhs[:, j], G[:, j])
+        assert np.abs(X[:, j] - x).max() <= 1e-12 * np.abs(x).max()
 
 
 # ---------------------------------------------------------------------------
