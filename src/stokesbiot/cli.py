@@ -98,8 +98,8 @@ def _cmd_run(args) -> int:
             if case not in {"A", "B", "C", "D"}:
                 raise SystemExit(f"unknown sensitivity case {case!r}")
             cases = (case,)
-        results = run_sensitivity(cases, resolution=args.resolution,
-                                  outdir=args.out, T=args.final_time)
+        results = run_sensitivity(cases, resolution=args.resolution, outdir=args.out,
+                                  T=args.final_time, sections=sections, sets=sets)
         for c, summary in sorted(results.items()):
             print(f"case {c}: near-fracture mean p_p = {summary['near_fracture_mean_pp']:.4g} KPa, "
                   f"max |eta| = {summary['max_displacement']:.4g} m")

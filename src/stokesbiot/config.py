@@ -15,8 +15,8 @@ import numpy as np
 
 
 class ConfigError(ValueError):
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, message: str, line: int | None = None):
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .assembly import PhysicalParams, make_multiplier_space
+from .config import ConfigError, apply_overrides
 from .interface import common_refinement
 from .manufactured import PI
 from .mesh import Mesh2D, apply_domain_map, build_fracture_domain, reservoir_domain_map
@@ -354,18 +355,40 @@ def run_scenario(config: ScenarioConfig, outdir: str | None = None,
     return summary
 
 
+def _sweep_workers(n_cases: int) -> int:
+    """Worker processes for a sweep: ``SB_THREADS`` (default all cores), at
+    most one per case.  A value that is not a positive integer is a
+    ``ConfigError``."""
+    raw = os.environ.get("SB_THREADS")
+    if raw is None:
+        n = os.cpu_count() or 1
+    else:
+        try:
+            n = int(raw)
+        except ValueError:
+            n = 0
+        if n < 1:
+            raise ConfigError(f"SB_THREADS = {raw!r} is not a positive integer")
+    return min(n, n_cases)
+
+
 def run_sensitivity(cases=("A", "B", "C", "D"), resolution: float = 0.04,
-                    outdir: str | None = None, T: float | None = None) -> dict:
-    """Run the parameter sweep; honors SB_THREADS for process parallelism."""
+                    outdir: str | None = None, T: float | None = None,
+                    sections: dict | None = None, sets: dict | None = None) -> dict:
+    """Run the parameter sweep; honors SB_THREADS for process parallelism.
+
+    ``sections`` (a parsed configuration file) and ``sets`` (``--set``
+    pairs) are applied to every case, before ``T``.
+    """
+    n_workers = _sweep_workers(len(cases))
     configs = sensitivity_configs(resolution)
-    selected = {c: configs[c] for c in cases}
+    selected = {c: apply_overrides(configs[c], sections or {}, sets) for c in cases}
     if T is not None:
         selected = {c: replace(cfg, T=T) for c, cfg in selected.items()}
-    n_workers = int(os.environ.get("SB_THREADS", os.cpu_count() or 1))
     results = {}
-    if n_workers > 1 and len(selected) > 1:
+    if n_workers > 1:
         import concurrent.futures as cf
-        with cf.ProcessPoolExecutor(max_workers=min(n_workers, len(selected))) as ex:
+        with cf.ProcessPoolExecutor(max_workers=n_workers) as ex:
             futs = {c: ex.submit(run_scenario, cfg,
                                  os.path.join(outdir, c) if outdir else None)
                     for c, cfg in selected.items()}

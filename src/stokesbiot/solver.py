@@ -10,6 +10,12 @@ Essential conditions are imposed by ``ConstrainedOperator``: it rotates
 constrained velocity / displacement node pairs into normal-tangential form
 where needed, then eliminates rows and columns with a symmetric right-hand
 side correction.  The step matrix is factorized once and reused.
+
+``LUSolver`` factorizes the max-norm row/column equilibration of a matrix,
+so one triangular solve per application normally meets ``REFINE_TOL``; the
+scaled residual is checked every time, one refinement pass is made only
+when it misses, and a solve that still misses raises ``SingularMatrixError``
+instead of returning a wrong answer.
 """
 
 from __future__ import annotations
@@ -28,6 +34,8 @@ from .spaces import FESpace, l2_project, nodal_interpolate
 
 FIELDS = ("uf", "up", "eta", "pf", "pp", "lam")
 DENSE_FALLBACK = 2000
+REFINE_TOL = 1e-12                # scaled residual that triggers (and must survive) refinement
+PIVOT_TOL = np.finfo(float).eps   # dense pivot at round-off level of the largest
 
 
 class SingularMatrixError(RuntimeError):
@@ -37,10 +45,17 @@ class SingularMatrixError(RuntimeError):
 
 
 class LUSolver:
-    """Direct solve with one iterative refinement pass per application.
+    """Direct solve of an equilibrated matrix, refined only when needed.
 
-    Dense LU below ``DENSE_FALLBACK`` unknowns, SuperLU (threshold partial
-    pivoting, COLAMD ordering) above.
+    Rows and columns are scaled once by ``1/sqrt`` of their largest
+    magnitudes and ``D_r M D_c`` is factorized: dense LU below
+    ``DENSE_FALLBACK`` unknowns, SuperLU (threshold partial pivoting, COLAMD
+    ordering) above.  Each ``solve`` makes one triangular solve and checks
+    the scaled residual ``|D_r (b - M x)|_inf`` against ``REFINE_TOL`` times
+    ``|D_r b|_inf``, per column; a column above it gets one refinement pass
+    (counted in ``refinements``), and one still above it afterwards raises
+    ``SingularMatrixError``.  ``max_residual`` is the largest scaled residual
+    returned so far.
     """
 
     def __init__(self, M, dense_threshold: int = DENSE_FALLBACK):
@@ -50,35 +65,74 @@ class LUSolver:
         self.M = M
         self.n = M.shape[0]
         self.dense = self.n < dense_threshold
+        self.refinements = 0
+        self.max_residual = 0.0
+        absM = abs(M)
+        self.dr = _inv_sqrt_max(absM.max(axis=1), "row")
+        self.dc = _inv_sqrt_max(absM.max(axis=0), "column")
+        S = absM      # reused: the equilibrated matrix D_r M D_c
+        S.data = M.data * self.dr[M.indices] * np.repeat(self.dc, np.diff(M.indptr))
         if self.dense:
             import warnings
 
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")   # singularity detected below
-                lu, piv = dla.lu_factor(M.toarray())
+                lu, piv = dla.lu_factor(S.toarray())
             diag = np.abs(np.diag(lu))
-            if not np.all(np.isfinite(lu)) or np.any(diag == 0.0):
+            if not np.all(np.isfinite(lu)) or diag.min() <= PIVOT_TOL * diag.max():
                 bad = int(np.argmin(diag))
-                raise SingularMatrixError(f"singular matrix, zero pivot at {bad}", pivot=bad)
+                raise SingularMatrixError(
+                    f"singular matrix, pivot {diag[bad]:.2e} at {bad} "
+                    f"(largest {diag.max():.2e})", pivot=bad)
             self._fact = (lu, piv)
         else:
             try:
-                self._fact = spla.splu(M)
+                self._fact = spla.splu(S)
             except RuntimeError as exc:
                 raise SingularMatrixError(str(exc)) from exc
 
-    def _solve_once(self, b):
-        if self.dense:
-            return dla.lu_solve(self._fact, b)
-        return self._fact.solve(b)
+    def _solve_scaled(self, R):
+        """``X`` with ``M X = R`` for (n, k) ``R``, through the factor of ``D_r M D_c``."""
+        Rs = R * self.dr[:, None]
+        Y = dla.lu_solve(self._fact, Rs) if self.dense else self._fact.solve(Rs)
+        return Y * self.dc[:, None]
+
+    def _residual(self, B, X):
+        """``(R, |D_r R|_inf / |D_r B|_inf)`` with ``R = B - M X``, the ratio per column."""
+        R = B - self.M @ X
+        rn = np.abs(R * self.dr[:, None]).max(axis=0)
+        bn = np.abs(B * self.dr[:, None]).max(axis=0)
+        return R, rn / np.where(bn > 0, bn, 1.0)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        x = self._solve_once(b)
-        r = b - self.M @ x
-        x = x + self._solve_once(r)
-        if not np.all(np.isfinite(x)):
+        B = b.reshape(self.n, -1)
+        X = self._solve_scaled(B)
+        R, ratio = self._residual(B, X)
+        refine = ratio > REFINE_TOL
+        if refine.any():
+            self.refinements += 1
+            X[:, refine] += self._solve_scaled(R[:, refine])
+            _, ratio = self._residual(B, X)
+        if not np.all(np.isfinite(X)):
             raise SingularMatrixError("solve produced non-finite values")
-        return x
+        worst = float(ratio.max(initial=0.0))
+        if worst > REFINE_TOL:
+            raise SingularMatrixError(
+                f"scaled residual {worst:.2e} above {REFINE_TOL:.0e} after refinement")
+        self.max_residual = max(self.max_residual, worst)
+        return X.reshape(b.shape)
+
+
+def _inv_sqrt_max(maxima, kind: str) -> np.ndarray:
+    """``1/sqrt`` of the largest magnitudes; a zero row or column is singular."""
+    m = maxima.toarray().ravel()
+    if not np.all(np.isfinite(m)):
+        bad = int(np.argmin(np.isfinite(m)))
+        raise SingularMatrixError(f"non-finite entry in {kind} {bad}", pivot=bad)
+    if np.any(m == 0.0):
+        bad = int(np.argmin(m))
+        raise SingularMatrixError(f"singular matrix, zero {kind} {bad}", pivot=bad)
+    return 1.0 / np.sqrt(m)
 
 
 # ---------------------------------------------------------------------------

@@ -231,6 +231,33 @@ def test_cli_run_single_sensitivity_case(tmp_path, monkeypatch):
     assert not (tmp_path / "C").exists()
 
 
+def test_cli_sensitivity_applies_overrides(tmp_path, monkeypatch):
+    monkeypatch.setenv("SB_THREADS", "1")
+    rc = cli(["run", "--scenario", "sensitivity:D", "--resolution", "0.1",
+              "--final-time", "2", "--set", "s0=0.02", "--out", str(tmp_path)])
+    assert rc == 0
+    manifest = json.loads((tmp_path / "D" / "manifest.json").read_text())
+    assert manifest["config"]["params"]["s0"] == pytest.approx(0.02)
+    assert manifest["config"]["T"] == 2.0
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "x", ""])
+def test_cli_bad_sb_threads_is_usage_error(tmp_path, capsys, monkeypatch, value):
+    import concurrent.futures
+
+    import stokesbiot.scenarios
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("no case may run and no worker may start")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_run)
+    monkeypatch.setattr(stokesbiot.scenarios, "run_scenario", no_run)
+    monkeypatch.setenv("SB_THREADS", value)
+    rc = cli(["run", "--scenario", "sensitivity", "--out", str(tmp_path)])
+    assert rc == 1
+    assert "SB_THREADS" in capsys.readouterr().err
+
+
 def test_cli_runtime_error_exit_code(tmp_path):
     # fracture resolution too coarse -> runtime failure, exit 2
     rc = cli(["run", "--scenario", "example2", "--resolution", "2.0", "--out", str(tmp_path)])

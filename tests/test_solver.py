@@ -4,8 +4,8 @@ import scipy.sparse as sp
 
 from stokesbiot.assembly import PhysicalParams
 from stokesbiot.manufactured import example1_solution, verification_params
-from stokesbiot.solver import (DENSE_FALLBACK, ConstrainedOperator, DirichletBC, LUSolver,
-                               SingularMatrixError, TransientState, run_transient)
+from stokesbiot.solver import (DENSE_FALLBACK, REFINE_TOL, ConstrainedOperator, DirichletBC,
+                               LUSolver, SingularMatrixError, TransientState, run_transient)
 from stokesbiot.verify import LOW_ORDER, example1_system, run_example1
 
 
@@ -79,6 +79,79 @@ def test_lu_zero_row_singular():
     for threshold, _ in LU_PATHS:
         with pytest.raises(SingularMatrixError):
             LUSolver(sp.csc_matrix(A), dense_threshold=threshold)
+
+
+def test_lu_zero_row_or_column_names_index():
+    for axis, kind in ((0, "row"), (1, "column")):
+        A = np.eye(10) + np.eye(10, k=1)
+        A[(slice(None),) * axis + (6,)] = 0.0
+        for threshold, _ in LU_PATHS:
+            with pytest.raises(SingularMatrixError, match=f"zero {kind} 6") as err:
+                LUSolver(sp.csc_matrix(A), dense_threshold=threshold)
+            assert err.value.pivot == 6
+
+
+def test_lu_rank_deficient_raises():
+    # row 9 is a combination of rows 0 and 1: the dense path used to return
+    # |x| ~ 8e15 and SuperLU a wrong answer, both without complaint
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((10, 10))
+    A[9] = 0.1 * A[0] + 0.7 * A[1]
+    for threshold, _ in LU_PATHS:
+        with pytest.raises(SingularMatrixError):
+            LUSolver(sp.csc_matrix(A), dense_threshold=threshold).solve(np.ones(10))
+
+
+def _row_scaled_system(rng, n=40):
+    """Well-conditioned matrix with row scales spread over 1e-10 ... 1e7."""
+    scales = np.logspace(-10, 7, n)
+    rng.shuffle(scales)
+    A = scales[:, None] * (rng.standard_normal((n, n)) + 10 * np.eye(n))
+    return A, A @ rng.standard_normal(n)
+
+
+def _scaled_residual(lu, M, b, x):
+    return np.abs(lu.dr * (b - M @ x)).max() / np.abs(lu.dr * b).max()
+
+
+def test_lu_badly_scaled_rows_need_no_refinement():
+    rng = np.random.default_rng(4)
+    A, b = _row_scaled_system(rng)
+    x_star = dense_gauss_oracle(A, b)
+    for threshold, dense in LU_PATHS:
+        lu = LUSolver(sp.csc_matrix(A), dense_threshold=threshold)
+        assert lu.dense is dense
+        x = lu.solve(b)
+        assert lu.refinements == 0
+        assert np.abs(x - x_star).max() < 1e-12 * np.abs(x_star).max()
+        assert _scaled_residual(lu, A, b, x) <= REFINE_TOL
+        assert lu.max_residual == pytest.approx(_scaled_residual(lu, A, b, x))
+
+
+def test_lu_refines_once_when_residual_misses_tolerance():
+    rng = np.random.default_rng(5)
+    A, b = _row_scaled_system(rng)
+    for threshold, _ in LU_PATHS:
+        lu = LUSolver(sp.csc_matrix(A), dense_threshold=threshold)
+        # the residual is now taken against a matrix 1e-8 away from the factor
+        lu.M = sp.csc_matrix(A * (1 + 1e-8 * rng.standard_normal(A.shape)))
+        assert _scaled_residual(lu, lu.M, b, lu._solve_scaled(b)) > REFINE_TOL
+        x = lu.solve(b)
+        assert lu.refinements == 1
+        assert _scaled_residual(lu, lu.M, b, x) <= REFINE_TOL
+
+
+def test_lu_refinement_is_per_column():
+    rng = np.random.default_rng(6)
+    A, b = _row_scaled_system(rng)
+    B = np.column_stack([b, np.zeros_like(b), 2 * b])
+    lu = LUSolver(sp.csc_matrix(A), dense_threshold=0)
+    lu.M = sp.csc_matrix(A * (1 + 1e-8 * rng.standard_normal(A.shape)))
+    X = lu.solve(B)
+    assert lu.refinements == 1
+    assert np.all(X[:, 1] == 0.0)
+    for k in (0, 2):
+        assert _scaled_residual(lu, lu.M, B[:, k], X[:, k]) <= REFINE_TOL
 
 
 def test_lu_rejects_nonsquare():
