@@ -88,14 +88,10 @@ class PhysicalParams:
 # volume forms
 
 
-def _cell_weights(space: FESpace, rule):
-    return rule.weights[None, :] * (2.0 * space.geometry.areas)[:, None]
-
-
 def _sym_grad_form(space: FESpace, rule, two_mu, lam=None) -> sp.csr_matrix:
     """(2 mu D(u), D(v)) [+ (lam div u, div v)] for an interleaved vector space."""
     _, G = space.tabulate(rule)                      # (m, ns, q, 2)
-    w = _cell_weights(space, rule)
+    _, w = space.geometry.quadrature(rule)
     mu = np.asarray(two_mu, dtype=float) / 2.0
     mu_w = w * (mu[:, None] if mu.ndim else mu)
     gg = np.einsum("miqk,mjqk,mq->mij", G, G, mu_w)
@@ -151,7 +147,7 @@ def assemble_darcy_mass(V_p: FESpace, params: PhysicalParams) -> sp.csr_matrix:
     Kinv /= det[:, None, None]
     rule = triangle_rule(default_quad_degree(V_p))
     vals, _ = V_p.tabulate(rule)
-    w = _cell_weights(V_p, rule)
+    _, w = V_p.geometry.quadrature(rule)
     eloc = params.mu * np.einsum("miqa,mab,mjqb,mq->mij", vals, Kinv, vals, w)
     return scatter(eloc, V_p.cell_dofs, V_p.cell_dofs, (V_p.n_dofs, V_p.n_dofs))
 
@@ -162,7 +158,7 @@ def assemble_divergence(V: FESpace, W: FESpace) -> sp.csr_matrix:
         raise ValueError("velocity and pressure spaces live on different meshes")
     _check_div_pairing(V, W)
     rule = triangle_rule(default_quad_degree(V, W))
-    w = _cell_weights(V, rule)
+    _, w = V.geometry.quadrature(rule)
     pv, _ = W.tabulate(rule)                         # scalar pressure values (nw, q)
     if V.rt_order is not None:
         _, divs = V.tabulate(rule)                   # (m, nv, q)

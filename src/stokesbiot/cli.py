@@ -83,7 +83,8 @@ def _cmd_converge(args) -> int:
 def _cmd_run(args) -> int:
     from .config import apply_overrides, parse_config, parse_set_pairs
     from .scenarios import (example2_config, example3_config, run_scenario,
-                            run_sensitivity, synthetic_spe_standin, write_raster)
+                            run_sensitivity, sweep_threads, synthetic_spe_standin,
+                            write_raster)
     from .vtkio import write_manifest
 
     sets = parse_set_pairs(args.sets)
@@ -103,7 +104,8 @@ def _cmd_run(args) -> int:
         for c, summary in sorted(results.items()):
             print(f"case {c}: near-fracture mean p_p = {summary['near_fracture_mean_pp']:.4g} KPa, "
                   f"max |eta| = {summary['max_displacement']:.4g} m")
-        write_manifest(os.path.join(args.out, "sensitivity_summary.json"), results)
+        write_manifest(os.path.join(args.out, "sensitivity_summary.json"),
+                       {**results, "threads": sweep_threads(len(cases))})
         return 0
 
     if name == "example2":

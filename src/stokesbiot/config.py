@@ -44,7 +44,6 @@ _SCHEMA = {
         "pressure": ("float", lambda v: True, ""),
     },
     "output": {
-        "dir": ("str", lambda v: True, ""),
         "stride": ("int", lambda v: v >= 0, "must be non-negative"),
     },
 }
@@ -53,16 +52,13 @@ _SCHEMA = {
 def _coerce(key: str, text: str, spec, line: int):
     """Typed, finite, range-checked value of ``key`` from its text."""
     kind, check, why = spec
-    if kind == "str":
-        value = text
-    else:
-        try:
-            value = int(text) if kind == "int" else float(text)
-        except ValueError:
-            what = "an integer" if kind == "int" else "a number"
-            raise ConfigError(f"{key} = {text!r} is not {what}", line) from None
-        if not math.isfinite(value):
-            raise ConfigError(f"{key} = {text!r} is not finite", line)
+    try:
+        value = int(text) if kind == "int" else float(text)
+    except ValueError:
+        what = "an integer" if kind == "int" else "a number"
+        raise ConfigError(f"{key} = {text!r} is not {what}", line) from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} = {text!r} is not finite", line)
     if not check(value):
         raise ConfigError(f"{key} = {text}: {why}", line)
     return value

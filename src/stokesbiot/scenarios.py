@@ -372,6 +372,13 @@ def _sweep_workers(n_cases: int) -> int:
     return min(n, n_cases)
 
 
+def sweep_threads(n_cases: int) -> dict:
+    """Thread settings of a sweep: its worker count and the BLAS thread
+    variables every worker inherits (``None`` where unset)."""
+    return {"workers": _sweep_workers(n_cases),
+            "env": {var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}}
+
+
 def run_sensitivity(cases=("A", "B", "C", "D"), resolution: float = 0.04,
                     outdir: str | None = None, T: float | None = None,
                     sections: dict | None = None, sets: dict | None = None) -> dict:

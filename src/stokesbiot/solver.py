@@ -470,6 +470,11 @@ class CoupledSystem:
             [b["Df"], None, None, None],
             [-b["Bf"], -b["Bp"], None, None],
         ], sizes)
+        cons = build_constraints(self.spaces, {"uf": offs["uf"], "up": offs["up"]},
+                                 [bc for bc in self.bcs if bc.field in ("uf", "up")])
+        # factorize before the first load, so that the quadrature cache the
+        # load fills grows after the factorization's memory peak, not during it
+        op = ConstrainedOperator(A, cons)
         L0 = self.load(0.0)
         pp0 = self.view(state.X, "pp")
         rhs = np.concatenate([
@@ -478,9 +483,7 @@ class CoupledSystem:
             self.view(L0, "pf"),
             b["Be"] @ etad,
         ])
-        cons = build_constraints(self.spaces, {"uf": offs["uf"], "up": offs["up"]},
-                                 [bc for bc in self.bcs if bc.field in ("uf", "up")])
-        x = ConstrainedOperator(A, cons).solve(rhs, cons.values(0.0))
+        x = op.solve(rhs, cons.values(0.0))
         for n in ("uf", "up", "pf", "lam"):
             self.view(state.X, n)[:] = x[offs[n]:offs[n] + sizes[n]]
 

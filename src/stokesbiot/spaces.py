@@ -51,10 +51,25 @@ class CellGeometry:
         self.invJ = inv
         self.invJT = np.swapaxes(inv, 1, 2)
         self.areas = 0.5 * self.detJ
+        self._quadrature: dict = {}
 
     def map_points(self, ref_points: np.ndarray) -> np.ndarray:
         """Physical coordinates (m, q, 2) of reference points (q, 2)."""
-        return self.v0[:, None, :] + np.einsum("mab,qb->mqa", self.J, ref_points)
+        return self.v0[:, None, :] + np.matmul(ref_points, np.swapaxes(self.J, 1, 2))
+
+    def quadrature(self, rule: QuadratureRule):
+        """Physical points (m, q, 2) and weights (m, q) of ``rule`` on every cell.
+
+        Cached per rule under the key ``FESpace.tabulate`` uses; the arrays
+        are shared between callers and therefore read-only.
+        """
+        key = (id(rule), rule.degree)
+        if key not in self._quadrature:
+            pts = self.map_points(rule.points)
+            w = rule.weights[None, :] * (2.0 * self.areas)[:, None]
+            pts.flags.writeable = w.flags.writeable = False
+            self._quadrature[key] = (pts, w)
+        return self._quadrature[key]
 
     def ref_coords(self, cell: int, phys: np.ndarray) -> np.ndarray:
         """Reference coordinates in ``cell`` of physical points (q, 2)."""
@@ -104,7 +119,7 @@ class FESpace:
             else:
                 el = SCALAR_ELEMENTS[self.scalar_name]
                 vals, gref = el.tabulate(rule.points)
-                grads = np.einsum("mab,iqb->miqa", self.geometry.invJT, gref)
+                grads = np.matmul(gref, self.geometry.invJ[:, None])
                 self._cache[key] = (vals, grads)
         return self._cache[key]
 
@@ -140,9 +155,7 @@ class FESpace:
                 M[:, row, :] = np.einsum("kmq,q->mk", flux, mom) * L[:, None]
                 row += 1
         if order == 1:
-            tq = triangle_rule(3)
-            pts = _geometry(mesh).map_points(tq.points)
-            w = tq.weights[None, :] * (2.0 * area)[:, None]
+            pts, w = _geometry(mesh).quadrature(triangle_rule(3))
             X = (pts - centroid[:, None, :]) / scale[:, None, None]
             mv, _ = _rt_monomials(order, X)
             mean = np.einsum("kmqd,mq->mkd", mv / scale[None, :, None, None], w)
@@ -154,7 +167,7 @@ class FESpace:
 
     def _tabulate_rt(self, rule):
         centroid, scale, coeffs = self._rt_data()
-        pts = self.geometry.map_points(rule.points)
+        pts, _ = self.geometry.quadrature(rule)
         X = (pts - centroid[:, None, :]) / scale[:, None, None]
         mv, md = _rt_monomials(self.rt_order, X)       # (k, m, q, 2), (k, m, q)
         vals = np.einsum("kmqd,mkn->mnqd", mv / scale[None, :, None, None], coeffs)
@@ -286,8 +299,7 @@ def default_quad_degree(*spaces: FESpace) -> int:
 
 def mass_matrix(space: FESpace, rule: QuadratureRule | None = None) -> sp.csr_matrix:
     rule = rule or triangle_rule(default_quad_degree(space))
-    geo = space.geometry
-    w = rule.weights[None, :] * (2.0 * geo.areas)[:, None]
+    _, w = space.geometry.quadrature(rule)
     if space.rt_order is not None:
         vals, _ = space.tabulate(rule)
         eloc = np.einsum("miqd,mjqd,mq->mij", vals, vals, w)
@@ -322,27 +334,23 @@ def scatter(eloc, rows_dofs, cols_dofs, shape) -> sp.csr_matrix:
 def load_vector(space: FESpace, f, rule: QuadratureRule | None = None) -> np.ndarray:
     """Assemble (f, phi) for all basis functions phi of ``space``."""
     rule = rule or triangle_rule(default_quad_degree(space) + 2)
-    geo = space.geometry
-    w = rule.weights[None, :] * (2.0 * geo.areas)[:, None]
-    pts = geo.map_points(rule.points)
+    pts, w = space.geometry.quadrature(rule)
     fx = np.asarray(f(pts.reshape(-1, 2)))
-    out = np.zeros(space.n_dofs)
     if space.rt_order is not None:
-        fx = fx.reshape(pts.shape)
         vals, _ = space.tabulate(rule)
-        eloc = np.einsum("miqd,mqd,mq->mi", vals, fx, w)
-        np.add.at(out, space.cell_dofs.ravel(), eloc.ravel())
-    elif space.vector:
-        fx = fx.reshape(pts.shape)
-        vals, _ = space.tabulate(rule)
-        eloc = np.einsum("iq,mqd,mq->mid", vals, fx, w)   # (m, n_s, 2)
-        eloc = eloc.reshape(eloc.shape[0], -1)            # interleaved (x, y)
-        np.add.at(out, space.cell_dofs.ravel(), eloc.ravel())
+        fw = fx.reshape(pts.shape) * w[..., None]
+        m = len(w)
+        eloc = np.matmul(vals.reshape(m, space.n_loc, -1), fw.reshape(m, -1, 1))
     else:
-        fx = fx.reshape(pts.shape[:2])
-        vals, _ = space.tabulate(rule)
-        eloc = np.einsum("iq,mq,mq->mi", vals, fx, w)
-        np.add.at(out, space.cell_dofs.ravel(), eloc.ravel())
+        # reference values suffice: space.tabulate would also build (and keep)
+        # physical gradients, (m, n_loc, q, 2), that a load never reads
+        vals, _ = SCALAR_ELEMENTS[space.scalar_name].tabulate(rule.points)
+        if space.vector:
+            eloc = vals @ (fx.reshape(pts.shape) * w[..., None])   # (m, n_s, 2), interleaved (x, y)
+        else:
+            eloc = (fx.reshape(w.shape) * w) @ vals.T
+    out = np.zeros(space.n_dofs)
+    np.add.at(out, space.cell_dofs.ravel(), eloc.ravel())
     return out
 
 
@@ -384,11 +392,9 @@ def rt_interpolate(space: FESpace, f) -> np.ndarray:
     out[0::2][: len(mesh.edges)] = flux0
     mom = eq.weights * (2.0 * eq.points - 1.0)
     out[1::2][: len(mesh.edges)] = (fn * mom[None, :]).sum(axis=1) * L
-    tq = triangle_rule(5)
     geo = space.geometry
-    p = geo.map_points(tq.points)
+    p, w = geo.quadrature(triangle_rule(5))
     fx = np.asarray(f(p.reshape(-1, 2))).reshape(p.shape)
-    w = tq.weights[None, :] * (2.0 * geo.areas)[:, None]
     mean = np.einsum("mqd,mq->md", fx, w) / geo.areas[:, None]
     ne = len(mesh.edges)
     out[2 * ne + 0::2] = mean[:, 0]

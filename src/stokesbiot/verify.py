@@ -136,37 +136,32 @@ def _norm_rule(space: FESpace):
 def _field_norms(space: FESpace, coeffs: np.ndarray, exact, exact_grad, t: float):
     """Squared L2 / H1-seminorm of (u_h - u) and of u over the space's mesh."""
     rule = _norm_rule(space)
-    geo = space.geometry
-    w = rule.weights[None, :] * (2.0 * geo.areas)[:, None]
-    pts = geo.map_points(rule.points)
+    pts, w = space.geometry.quadrature(rule)
     flat = pts.reshape(-1, 2)
     c = coeffs[space.cell_dofs]
-    if space.rt_order is not None:
-        vals, _ = space.tabulate(rule)
-        uh = np.einsum("miqd,mi->mqd", vals, c)
-        ue = np.asarray(exact(flat, t)).reshape(pts.shape)
-        err2 = np.einsum("mqd,mq->", (uh - ue) ** 2, w)
-        ex2 = np.einsum("mqd,mq->", ue**2, w)
-        return err2, 0.0, ex2, 0.0
     vals, grads = space.tabulate(rule)
+    if space.rt_order is not None:
+        uh = np.matmul(c[:, None, :], vals.reshape(c.shape + (-1,))).reshape(pts.shape)
+        ue = np.asarray(exact(flat, t)).reshape(pts.shape)
+        return _weighted_sum((uh - ue) ** 2, w), 0.0, _weighted_sum(ue**2, w), 0.0
     if space.vector:
         c3 = c.reshape(c.shape[0], -1, 2)
-        uh = np.einsum("iq,mid->mqd", vals, c3)
+        uh = vals.T @ c3
         ue = np.asarray(exact(flat, t)).reshape(pts.shape)
-        err2 = np.einsum("mqd,mq->", (uh - ue) ** 2, w)
-        ex2 = np.einsum("mqd,mq->", ue**2, w)
+        err2, ex2 = _weighted_sum((uh - ue) ** 2, w), _weighted_sum(ue**2, w)
         if exact_grad is None:
             return err2, 0.0, ex2, 0.0
-        gh = np.einsum("miqa,mid->mqda", grads, c3)
-        ge = np.asarray(exact_grad(flat, t)).reshape(pts.shape[0], pts.shape[1], 2, 2)
-        s_err2 = np.einsum("mqda,mq->", (gh - ge) ** 2, w)
-        s_ex2 = np.einsum("mqda,mq->", ge**2, w)
-        return err2, s_err2, ex2, s_ex2
-    ph = np.einsum("iq,mi->mq", vals, c)
-    pe = np.asarray(exact(flat, t)).reshape(pts.shape[:2])
-    err2 = np.einsum("mq,mq->", (ph - pe) ** 2, w)
-    ex2 = np.einsum("mq,mq->", pe**2, w)
-    return err2, 0.0, ex2, 0.0
+        gh = np.einsum("miqa,mid->mqda", grads, c3, optimize=True)
+        ge = np.asarray(exact_grad(flat, t)).reshape(gh.shape)
+        return err2, _weighted_sum((gh - ge) ** 2, w), ex2, _weighted_sum(ge**2, w)
+    ph = c @ vals
+    pe = np.asarray(exact(flat, t)).reshape(w.shape)
+    return _weighted_sum((ph - pe) ** 2, w), 0.0, _weighted_sum(pe**2, w), 0.0
+
+
+def _weighted_sum(values: np.ndarray, w: np.ndarray) -> float:
+    """sum over cells m and points q of w[m, q] * values[m, q, ...]."""
+    return np.vdot(w, values.reshape(w.shape + (-1,)).sum(axis=-1))
 
 
 def error_norms(states: list, ms: ManufacturedSolution, system: CoupledSystem) -> ErrorReport:
@@ -398,7 +393,7 @@ def vector_h1_gram(space: FESpace) -> sp.csr_matrix:
     from .spaces import _expand_vector_blocks, mass_matrix, scatter
     rule = triangle_rule(assembly.default_quad_degree(space))
     _, G = space.tabulate(rule)
-    w = rule.weights[None, :] * (2.0 * space.geometry.areas)[:, None]
+    _, w = space.geometry.quadrature(rule)
     gg = np.einsum("miqk,mjqk,mq->mij", G, G, w)
     K = scatter(_expand_vector_blocks(gg), space.cell_dofs, space.cell_dofs,
                 (space.n_dofs, space.n_dofs))
@@ -409,7 +404,7 @@ def hdiv_gram(space: FESpace) -> sp.csr_matrix:
     from .spaces import mass_matrix, scatter
     rule = triangle_rule(assembly.default_quad_degree(space))
     _, divs = space.tabulate(rule)
-    w = rule.weights[None, :] * (2.0 * space.geometry.areas)[:, None]
+    _, w = space.geometry.quadrature(rule)
     dd = np.einsum("miq,mjq,mq->mij", divs, divs, w)
     K = scatter(dd, space.cell_dofs, space.cell_dofs, (space.n_dofs, space.n_dofs))
     return K + mass_matrix(space)

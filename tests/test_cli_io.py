@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -185,6 +186,22 @@ def test_cli_bad_config_value_is_usage_error(tmp_path, capsys):
     assert "stride" in capsys.readouterr().err
 
 
+def test_cli_output_dir_is_unknown_key(tmp_path, capsys, monkeypatch):
+    import stokesbiot.scenarios
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("no scenario may run")
+
+    monkeypatch.setattr(stokesbiot.scenarios, "run_scenario", no_run)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[output]\ndir = elsewhere\n")
+    for extra in (["--config", str(cfg)], ["--set", "dir=elsewhere"]):
+        rc = cli(["run", "--scenario", "example2", "--out", str(tmp_path)] + extra)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "unknown" in err and "'dir'" in err
+
+
 def test_cli_mesh_rect(tmp_path):
     out = tmp_path / "rect.mesh"
     assert cli(["mesh", "--make", "rect", "--nx", "4", "--ny", "3", "--out", str(out)]) == 0
@@ -239,6 +256,11 @@ def test_cli_sensitivity_applies_overrides(tmp_path, monkeypatch):
     manifest = json.loads((tmp_path / "D" / "manifest.json").read_text())
     assert manifest["config"]["params"]["s0"] == pytest.approx(0.02)
     assert manifest["config"]["T"] == 2.0
+    summary = json.loads((tmp_path / "sensitivity_summary.json").read_text())
+    assert summary["threads"] == {
+        "workers": 1,
+        "env": {var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+    }
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "x", ""])

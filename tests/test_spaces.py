@@ -5,10 +5,12 @@ import sympy as sym
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stokesbiot.mesh import build_structured
+from stokesbiot.elements import SCALAR_ELEMENTS
+from stokesbiot.mesh import apply_domain_map, build_structured, reservoir_domain_map
 from stokesbiot.quadrature import triangle_rule
-from stokesbiot.spaces import (l2_project, make_space, mass_matrix, nodal_interpolate,
-                               rt_interpolate)
+from stokesbiot.spaces import (default_quad_degree, l2_project, load_vector, make_space,
+                               mass_matrix, nodal_interpolate, rt_interpolate)
+from stokesbiot.verify import _field_norms, _norm_rule
 
 TAGS = {"left": "left", "right": "right", "bottom": "bottom", "top": "top"}
 
@@ -198,3 +200,127 @@ def test_multiplier_dimension_matches_trace():
     assert make_multiplier_space(pairing, 1).n_dofs == 2 * n_trace
     with pytest.raises(ValueError):
         make_multiplier_space(pairing, 2)
+
+
+# ---------------------------------------------------------------------------
+# quadrature data and the matmul kernels, against einsum oracles
+
+
+@pytest.fixture(scope="module")
+def skewed_mesh():
+    return apply_domain_map(build_structured((0, 60, 0, 40), 5, 4, "poro", TAGS),
+                            reservoir_domain_map())
+
+
+def _scalar_data(p):
+    return np.sin(p[:, 0] / 7.0) * np.cos(p[:, 1] / 5.0) + p[:, 0] * p[:, 1] / 100.0
+
+
+def _vector_data(p):
+    return np.column_stack([_scalar_data(p), np.exp(-p[:, 0] / 50.0) * p[:, 1]])
+
+
+def _tensor_data(p):
+    return np.stack([_vector_data(p), _vector_data(p[:, ::-1])], axis=-1)
+
+
+def _assert_rel_close(actual, oracle, rtol=1e-13):
+    assert np.abs(np.asarray(actual) - oracle).max() <= rtol * np.abs(oracle).max()
+
+
+def _einsum_quadrature(space, rule):
+    geo = space.geometry
+    pts = geo.v0[:, None, :] + np.einsum("mab,qb->mqa", geo.J, rule.points)
+    return pts, rule.weights[None, :] * (2.0 * geo.areas)[:, None]
+
+
+def _load_vector_oracle(space, f, rule):
+    pts, w = _einsum_quadrature(space, rule)
+    fx = np.asarray(f(pts.reshape(-1, 2)))
+    vals, _ = space.tabulate(rule)
+    if space.rt_order is not None:
+        eloc = np.einsum("miqd,mqd,mq->mi", vals, fx.reshape(pts.shape), w)
+    elif space.vector:
+        eloc = np.einsum("iq,mqd,mq->mid", vals, fx.reshape(pts.shape), w)
+    else:
+        eloc = np.einsum("iq,mq,mq->mi", vals, fx.reshape(pts.shape[:2]), w)
+    out = np.zeros(space.n_dofs)
+    np.add.at(out, space.cell_dofs.ravel(), eloc.ravel())
+    return out
+
+
+def _field_norms_oracle(space, coeffs, exact, exact_grad, rule):
+    pts, w = _einsum_quadrature(space, rule)
+    flat = pts.reshape(-1, 2)
+    c = coeffs[space.cell_dofs]
+    vals, grads = space.tabulate(rule)
+    if space.rt_order is not None:
+        uh = np.einsum("miqd,mi->mqd", vals, c)
+        ue = exact(flat).reshape(pts.shape)
+        return (np.einsum("mqd,mq->", (uh - ue) ** 2, w), 0.0, np.einsum("mqd,mq->", ue**2, w), 0.0)
+    if space.vector:
+        c3 = c.reshape(c.shape[0], -1, 2)
+        uh = np.einsum("iq,mid->mqd", vals, c3)
+        ue = exact(flat).reshape(pts.shape)
+        gh = np.einsum("miqa,mid->mqda", grads, c3)
+        ge = exact_grad(flat).reshape(gh.shape)
+        return (np.einsum("mqd,mq->", (uh - ue) ** 2, w), np.einsum("mqda,mq->", (gh - ge) ** 2, w),
+                np.einsum("mqd,mq->", ue**2, w), np.einsum("mqda,mq->", ge**2, w))
+    ph = np.einsum("iq,mi->mq", vals, c)
+    pe = exact(flat).reshape(pts.shape[:2])
+    return np.einsum("mq,mq->", (ph - pe) ** 2, w), 0.0, np.einsum("mq,mq->", pe**2, w), 0.0
+
+
+ALL_FAMILIES = sorted(EXPECTED_DOFS)
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_quadrature_is_cached_per_rule(skewed_mesh, family):
+    space = make_space(skewed_mesh, family)
+    geo = space.geometry
+    rule = triangle_rule(default_quad_degree(space) + 2)
+    pts, w = geo.quadrature(rule)
+    again = geo.quadrature(rule)
+    assert again[0] is pts and again[1] is w
+    np.testing.assert_array_equal(pts, geo.map_points(rule.points))
+    np.testing.assert_array_equal(w, rule.weights * 2.0 * geo.areas[:, None])
+    assert not (pts.flags.writeable or w.flags.writeable)
+    _assert_rel_close(pts, _einsum_quadrature(space, rule)[0])
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_load_vector_matches_einsum(skewed_mesh, family):
+    space = make_space(skewed_mesh, family)
+    f = _vector_data if space.vector else _scalar_data
+    rule = triangle_rule(default_quad_degree(space) + 2)
+    _assert_rel_close(load_vector(space, f), _load_vector_oracle(space, f, rule))
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_tabulate_matches_einsum(skewed_mesh, family):
+    space = make_space(skewed_mesh, family)
+    rule = _norm_rule(space)
+    vals, grads = space.tabulate(rule)
+    if space.rt_order is not None:
+        m, q = skewed_mesh.n_tris, rule.n_points
+        ref = np.broadcast_to(rule.points, (m, q, 2))
+        _assert_rel_close(vals, space.rt_eval_cells(np.arange(m), ref))
+        return
+    _, gref = SCALAR_ELEMENTS[space.scalar_name].tabulate(rule.points)
+    _assert_rel_close(grads, np.einsum("mab,iqb->miqa", space.geometry.invJT, gref))
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_field_norms_match_einsum(skewed_mesh, family):
+    space = make_space(skewed_mesh, family)
+    coeffs = np.random.default_rng(7).standard_normal(space.n_dofs)
+    if space.vector:
+        exact = _vector_data
+        exact_grad = None if space.rt_order is not None else _tensor_data
+    else:
+        exact, exact_grad = _scalar_data, None
+    grad = None if exact_grad is None else (lambda p, t: exact_grad(p))
+    got = _field_norms(space, coeffs, lambda p, t: exact(p), grad, 0.0)
+    want = _field_norms_oracle(space, coeffs, exact, exact_grad, _norm_rule(space))
+    for g, o in zip(got, want):
+        _assert_rel_close(g, o)
