@@ -205,11 +205,12 @@ class MultiplierSpace:
 
     @property
     def n_dofs(self) -> int:
-        return len(self.pairing.poro_edges) * (self.order + 1)
+        return len(self.pairing.poro.cells) * (self.order + 1)
 
-    def edge_dofs(self, edge_index: int) -> np.ndarray:
+    def edge_dofs(self, edges) -> np.ndarray:
+        """Dofs (k,) of one trace edge, or (n, k) of an array of edges."""
         k = self.order + 1
-        return np.arange(k * edge_index, k * (edge_index + 1))
+        return k * np.asarray(edges)[..., None] + np.arange(k)
 
     def tabulate(self, t: np.ndarray) -> np.ndarray:
         """Basis values (n_basis, ...) at edge parameters ``t`` in [0, 1]."""
@@ -228,7 +229,7 @@ def multiplier_mass(L: MultiplierSpace, squad: SegmentQuadrature | None = None) 
     squad = squad or segment_quadrature(L.pairing, INTERFACE_QUAD_DEGREE)
     lb = L.tabulate(squad.t_edge_p)       # (nb, nseg, q)
     eloc = np.einsum("ikq,jkq,kq->kij", lb, lb, squad.weights)
-    rows = np.array([L.edge_dofs(i) for i in L.pairing.seg_poro])
+    rows = L.edge_dofs(L.pairing.seg_poro)
     return scatter(eloc, rows, rows, (L.n_dofs, L.n_dofs))
 
 
@@ -256,7 +257,7 @@ def assemble_bgamma(pairing: InterfacePairing, V_f: FESpace, V_p: FESpace,
         raise ValueError("multiplier space does not live on this pairing")
     squad = squad or segment_quadrature(pairing, INTERFACE_QUAD_DEGREE)
     lb = L.tabulate(squad.t_edge_p)                       # (nb, nseg, q)
-    lam_rows = np.array([L.edge_dofs(i) for i in pairing.seg_poro])
+    lam_rows = L.edge_dofs(pairing.seg_poro)
 
     sv_f = _scalar_trace(V_f, squad.points_f)             # (ns, nseg, q)
     ef = np.einsum("bkq,skq,kq,kd->kbsd", lb, sv_f, squad.weights, pairing.seg_n_f)
@@ -331,10 +332,7 @@ def darcy_pressure_load(V_p: FESpace, tags, p_data) -> np.ndarray:
     normals = np.column_stack([t[:, 1], -t[:, 0]]) / lengths[:, None]
     pts = a[:, None, :] + rule.points[None, :, None] * t[:, None, :]
     cells = owner[ids]
-    from .spaces import _geometry
-    geo = _geometry(mesh)
-    ref = np.einsum("eab,eqb->eqa", geo.invJ[cells], pts - geo.v0[cells][:, None, :])
-    vals = V_p.rt_eval_cells(cells, ref)                  # (ne, nv, q, 2)
+    vals = V_p.rt_eval_cells(cells, V_p.geometry.ref_coords(cells, pts))   # (ne, nv, q, 2)
     pd = np.asarray(p_data(pts.reshape(-1, 2))).reshape(pts.shape[:2])
     w = rule.weights[None, :] * lengths[:, None]
     eloc = -np.einsum("enqd,ed,eq,eq->en", vals, normals, pd, w)

@@ -12,12 +12,26 @@ Exit codes: 0 success, 1 usage error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
 import numpy as np
 
 from .config import ConfigError
+
+
+def _positive(kind):
+    """argparse type: a finite number of ``kind`` greater than zero."""
+    def convert(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = 0
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(f"{text!r} is not a positive {kind.__name__}")
+        return value
+    return convert
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -27,9 +41,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("converge", help="run a refinement study")
     c.add_argument("--elements", choices=["low", "high"], required=True)
-    c.add_argument("--levels", type=int, default=4)
+    c.add_argument("--levels", type=_positive(int), default=4)
     c.add_argument("--matching", choices=["yes", "no"], default="yes")
-    c.add_argument("--n0", type=int, default=8, help="coarsest cells per unit length")
+    c.add_argument("--n0", type=_positive(int), default=8, help="coarsest cells per unit length")
     c.add_argument("--out", default=".")
 
     r = sub.add_parser("run", help="run a reservoir scenario")
@@ -38,17 +52,17 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--set", dest="sets", action="append", default=[],
                    metavar="KEY=VALUE", help="override a configuration value")
     r.add_argument("--config", default=None, help="configuration file")
-    r.add_argument("--resolution", type=float, default=0.04)
-    r.add_argument("--final-time", type=float, default=None)
+    r.add_argument("--resolution", type=_positive(float), default=0.04)
+    r.add_argument("--final-time", type=_positive(float), default=None)
     r.add_argument("--out", default=".")
 
     m = sub.add_parser("mesh", help="generate meshes")
     m.add_argument("--make", choices=["rect", "fracture"], required=True)
-    m.add_argument("--nx", type=int, default=8)
-    m.add_argument("--ny", type=int, default=8)
+    m.add_argument("--nx", type=_positive(int), default=8)
+    m.add_argument("--ny", type=_positive(int), default=8)
     m.add_argument("--rect", default="0,1,0,1", help="x0,x1,y0,y1")
     m.add_argument("--subdomain", default="fluid")
-    m.add_argument("--resolution", type=float, default=0.05)
+    m.add_argument("--resolution", type=_positive(float), default=0.05)
     m.add_argument("--out", required=True, help="output path (prefix for fracture)")
 
     d = sub.add_parser("diag", help="numerical diagnostics")

@@ -105,20 +105,19 @@ def apply_overrides(config, sections: dict, extra_sets: dict | None = None):
     params = config.params
     kw = {}
     if "e" in flat or "nu" in flat:
+        # the one of (E, nu) not given keeps the value of the current Lame pair
         from .scenarios import lame_from_E_nu
-        E = flat.get("e", 1e7)
-        nu = flat.get("nu", 0.2)
-        lam, mu_p = lame_from_E_nu(E, nu)
-        kw["lam_p"], kw["mu_p"] = lam, mu_p
+        lam, mu_p = np.asarray(params.lam_p, dtype=float), np.asarray(params.mu_p, dtype=float)
+        E = flat.get("e", mu_p * (3.0 * lam + 2.0 * mu_p) / (lam + mu_p))
+        nu = flat.get("nu", lam / (2.0 * (lam + mu_p)))
+        kw["lam_p"], kw["mu_p"] = lame_from_E_nu(E, nu)
     for name in ("mu", "s0", "alpha", "alpha_bjs", "lam_p", "mu_p"):
         if name in flat:
             kw[name] = flat[name]
-    if "k" in flat:
-        kw["K"] = np.eye(2) * flat["k"]
-    if "kxx" in flat or "kyy" in flat:
-        K = np.asarray(params.K, dtype=float)
-        K = K if K.shape == (2, 2) else np.eye(2) * float(K)
-        K = K.copy()
+    if "k" in flat or "kxx" in flat or "kyy" in flat:
+        # kxx / kyy edit the diagonal of the K that k sets, else of the current K
+        K = np.eye(2) * flat["k"] if "k" in flat else np.asarray(params.K, dtype=float)
+        K = K.copy() if K.shape == (2, 2) else np.eye(2) * float(K)
         if "kxx" in flat:
             K[0, 0] = flat["kxx"]
         if "kyy" in flat:

@@ -1,15 +1,18 @@
 """Pairing of the two interface traces and their common refinement.
 
-The poro-side trace polyline is the master geometry: its arclength
-parameterizes the interface, fluid-side trace vertices are projected onto it
-and the merged breakpoints define segments on which cross-mesh products are
+A trace is the set of boundary edges of one mesh tagged ``interface``, held
+as arrays with one row per edge: boundary-edge ids, owner cells, end points
+and their arclength parameters.  The poro-side trace, chained into one open
+polyline from its lexicographically smallest end, is the master geometry:
+``project_to_polyline`` maps the end points of both traces onto it, and the
+merged breakpoints define segments on which cross-mesh products are
 integrated exactly.  Each segment knows its owning edge (hence cell) on both
 sides together with unit normals, the tangent and the tangential permeability.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,32 +28,31 @@ class GeometryMismatchError(ValueError):
 
 
 @dataclass
-class TraceEdge:
-    bedge: int          # index into mesh.bedges
-    cell: int
-    local_edge: int
-    a: np.ndarray       # first endpoint in the edge's own orientation
-    b: np.ndarray
-    s0: float = 0.0     # arclength parameters on the master polyline
-    s1: float = 0.0
+class Trace:
+    """Interface edges of one mesh, one row per edge."""
+
+    bedges: np.ndarray         # (k,) index into mesh.bedges
+    cells: np.ndarray          # (k,) owner cell
+    a: np.ndarray              # (k, 2) first endpoint in the edge's own orientation
+    b: np.ndarray              # (k, 2)
+    s: np.ndarray | None = None  # (k, 2) arclength of a and b on the master polyline
 
 
 @dataclass
 class InterfacePairing:
     mesh_f: Mesh2D
     mesh_p: Mesh2D
-    fluid_edges: list
-    poro_edges: list
+    fluid: Trace
+    poro: Trace
     # per segment
-    seg_fluid: np.ndarray      # index into fluid_edges
-    seg_poro: np.ndarray       # index into poro_edges
+    seg_fluid: np.ndarray      # index into the fluid trace
+    seg_poro: np.ndarray       # index into the poro trace
     seg_t_f: np.ndarray        # (n, 2) sub-interval in the fluid edge's [0,1]
     seg_t_p: np.ndarray        # (n, 2) sub-interval in the poro edge's [0,1]
     seg_length: np.ndarray
     seg_n_f: np.ndarray        # (n, 2)
     seg_n_p: np.ndarray
     seg_tau: np.ndarray        # fluid-side unit tangent
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n_segments(self) -> int:
@@ -61,26 +63,23 @@ class InterfacePairing:
         return float(self.seg_length.sum())
 
 
-def _collect_trace(mesh: Mesh2D, tag: str = "interface") -> list[TraceEdge]:
+def _collect_trace(mesh: Mesh2D, tag: str = "interface") -> Trace:
     ids = mesh.boundary_edge_ids(tag)
     if len(ids) == 0:
         raise GeometryMismatchError(f"mesh has no edges tagged {tag!r}")
-    owner, local = mesh.bedge_owner()
-    out = []
-    for i in ids:
-        a, b = mesh.bedges[i]
-        out.append(TraceEdge(bedge=int(i), cell=int(owner[i]), local_edge=int(local[i]),
-                             a=mesh.nodes[a].copy(), b=mesh.nodes[b].copy()))
-    return out
+    owner, _ = mesh.bedge_owner()
+    return Trace(bedges=ids, cells=owner[ids],
+                 a=mesh.nodes[mesh.bedges[ids, 0]], b=mesh.nodes[mesh.bedges[ids, 1]])
 
 
-def _chain_polyline(edges: list[TraceEdge]) -> np.ndarray:
-    """Order trace edges into one open chain; returns its vertex array."""
+def _chain_polyline(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Order the edges (a[i], b[i]) into one open chain; returns its vertex array."""
     key = lambda p: (round(p[0], 12), round(p[1], 12))
+    ka, kb = [key(p) for p in a], [key(p) for p in b]
     adj: dict = {}
-    for e in edges:
-        adj.setdefault(key(e.a), []).append((e, True))
-        adj.setdefault(key(e.b), []).append((e, False))
+    for i in range(len(a)):
+        adj.setdefault(ka[i], []).append((i, True))
+        adj.setdefault(kb[i], []).append((i, False))
     ends = [k for k, v in adj.items() if len(v) == 1]
     if len(ends) != 2:
         raise GeometryMismatchError("interface trace is not a single open chain")
@@ -89,106 +88,91 @@ def _chain_polyline(edges: list[TraceEdge]) -> np.ndarray:
     used = set()
     node = start
     while True:
-        options = [x for x in adj[node] if id(x[0]) not in used]
+        options = [x for x in adj[node] if x[0] not in used]
         if not options:
             break
-        e, forward = options[0]
-        used.add(id(e))
-        nxt = e.b if forward else e.a
-        chain.append(nxt.copy())
-        node = key(nxt)
-    if len(used) != len(edges):
+        i, forward = options[0]
+        used.add(i)
+        chain.append(b[i] if forward else a[i])
+        node = kb[i] if forward else ka[i]
+    if len(used) != len(a):
         raise GeometryMismatchError("interface trace edges do not form one chain")
     return np.array(chain)
 
 
-def _project_to_polyline(poly: np.ndarray, arc: np.ndarray, p: np.ndarray):
-    """Arclength parameter and distance of point ``p`` projected on the chain."""
-    best = (np.inf, 0.0)
-    for i in range(len(poly) - 1):
-        a, b = poly[i], poly[i + 1]
-        d = b - a
-        L2 = d @ d
-        t = np.clip(((p - a) @ d) / L2, 0.0, 1.0)
-        q = a + t * d
-        dist = np.linalg.norm(p - q)
-        if dist < best[0]:
-            best = (dist, arc[i] + t * (arc[i + 1] - arc[i]))
-    return best[1], best[0]
+def project_to_polyline(points: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Nearest point of the segments (a[i], b[i]) to each of ``points`` (n, 2).
+
+    Returns ``(segment, t, distance)``: the index of the nearest segment (the
+    first one on a tie), the parameter in [0, 1] of the nearest point on it
+    and the distance to it.
+    """
+    points = np.asarray(points, dtype=float)
+    segment = np.zeros(len(points), dtype=np.int64)
+    t = np.zeros(len(points))
+    distance = np.full(len(points), np.inf)
+    d = b - a
+    L2 = np.einsum("ed,ed->e", d, d)
+    for i in range(len(a)):
+        ti = np.clip((points - a[i]) @ d[i] / L2[i], 0.0, 1.0)
+        di = np.linalg.norm(points - (a[i] + ti[:, None] * d[i]), axis=1)
+        closer = di < distance
+        segment[closer], t[closer], distance[closer] = i, ti[closer], di[closer]
+    return segment, t, distance
+
+
+def _owners(trace: Trace, smid: np.ndarray, tol: float) -> np.ndarray:
+    """Index of the trace edge whose parameter interval covers each of ``smid``."""
+    lo, hi = trace.s.min(axis=1), trace.s.max(axis=1)
+    order = np.argsort(lo, kind="stable")
+    j = order[np.maximum(np.searchsorted(lo[order] - tol, smid, side="right") - 1, 0)]
+    bad = np.flatnonzero((smid < lo[j] - tol) | (smid > hi[j] + tol))
+    if len(bad):
+        raise GeometryMismatchError(f"no edge covers interface parameter {smid[bad[0]]}")
+    return j
 
 
 def common_refinement(mesh_f: Mesh2D, mesh_p: Mesh2D) -> InterfacePairing:
     """Overlay the two 1D interface partitions into integration segments."""
-    fluid_edges = _collect_trace(mesh_f)
-    poro_edges = _collect_trace(mesh_p)
+    fluid = _collect_trace(mesh_f)
+    poro = _collect_trace(mesh_p)
 
-    poly = _chain_polyline(poro_edges)
-    seg_len = np.linalg.norm(np.diff(poly, axis=0), axis=1)
-    arc = np.concatenate([[0.0], np.cumsum(seg_len)])
+    poly = _chain_polyline(poro.a, poro.b)
+    arc = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(poly, axis=0), axis=1))])
     total = arc[-1]
 
-    def param(p):
-        s, dist = _project_to_polyline(poly, arc, p)
-        if dist > PROJECTION_TOL * total:
+    for trace in (poro, fluid):
+        ends = np.stack([trace.a, trace.b], axis=1).reshape(-1, 2)
+        seg, t, dist = project_to_polyline(ends, poly[:-1], poly[1:])
+        bad = np.flatnonzero(dist > PROJECTION_TOL * total)
+        if len(bad):
+            p, d = ends[bad[0]], dist[bad[0]]
             raise GeometryMismatchError(
-                f"interface traces mismatch: point {p} is {dist:.3e} from the master polyline")
-        return s
+                f"interface traces mismatch: point {p} is {d:.3e} from the master polyline")
+        trace.s = (arc[seg] + t * (arc[seg + 1] - arc[seg])).reshape(-1, 2)
 
-    for e in poro_edges:
-        e.s0, e.s1 = param(e.a), param(e.b)
-    for e in fluid_edges:
-        e.s0, e.s1 = param(e.a), param(e.b)
+    breaks = np.sort(np.concatenate([[0.0, total], poro.s.ravel(), fluid.s.ravel()]))
+    breaks = breaks[np.concatenate([[True], np.diff(breaks) > MERGE_TOL * total])]
+    bounds = np.column_stack([breaks[:-1], breaks[1:]])
+    smid = 0.5 * (bounds[:, 0] + bounds[:, 1])
+    seg_fluid = _owners(fluid, smid, MERGE_TOL * total)
+    seg_poro = _owners(poro, smid, MERGE_TOL * total)
 
-    breaks = [0.0, total]
-    for e in poro_edges + fluid_edges:
-        breaks.extend((e.s0, e.s1))
-    breaks = np.array(sorted(breaks))
-    keep = np.concatenate([[True], np.diff(breaks) > MERGE_TOL * total])
-    breaks = breaks[keep]
+    def local(trace, j):
+        s0 = trace.s[j, :1]
+        return (bounds - s0) / (trace.s[j, 1:] - s0)
 
-    def find_edge(edges, smid):
-        for i, e in enumerate(edges):
-            lo, hi = min(e.s0, e.s1), max(e.s0, e.s1)
-            if lo - MERGE_TOL * total <= smid <= hi + MERGE_TOL * total:
-                return i
-        raise GeometryMismatchError(f"no edge covers interface parameter {smid}")
-
-    nseg = len(breaks) - 1
-    seg_fluid = np.empty(nseg, dtype=np.int64)
-    seg_poro = np.empty(nseg, dtype=np.int64)
-    seg_t_f = np.empty((nseg, 2))
-    seg_t_p = np.empty((nseg, 2))
-    seg_length = np.empty(nseg)
-    seg_n_f = np.empty((nseg, 2))
-    seg_n_p = np.empty((nseg, 2))
-    seg_tau = np.empty((nseg, 2))
-
-    for k in range(nseg):
-        lo, hi = breaks[k], breaks[k + 1]
-        smid = 0.5 * (lo + hi)
-        fi = find_edge(fluid_edges, smid)
-        pi = find_edge(poro_edges, smid)
-        seg_fluid[k], seg_poro[k] = fi, pi
-        for (ei, target) in ((fluid_edges[fi], seg_t_f), (poro_edges[pi], seg_t_p)):
-            den = ei.s1 - ei.s0
-            target[k] = ((lo - ei.s0) / den, (hi - ei.s0) / den)
-        pe = poro_edges[pi]
-        fe = fluid_edges[fi]
-        pa = pe.a + seg_t_p[k, 0] * (pe.b - pe.a)
-        pb = pe.a + seg_t_p[k, 1] * (pe.b - pe.a)
-        seg_length[k] = np.linalg.norm(pb - pa)
-        for (ei, target) in ((fe, seg_n_f), (pe, seg_n_p)):
-            d = ei.b - ei.a
-            n = np.array([d[1], -d[0]])
-            target[k] = n / np.linalg.norm(n)
-        seg_tau[k] = np.array([-seg_n_f[k, 1], seg_n_f[k, 0]])
+    seg_t_f, seg_t_p = local(fluid, seg_fluid), local(poro, seg_poro)
+    pa = poro.a[seg_poro]
+    ends = pa[:, None, :] + seg_t_p[:, :, None] * (poro.b[seg_poro] - pa)[:, None, :]
+    seg_n_f = mesh_f.bedge_normals()[fluid.bedges[seg_fluid]]
 
     pairing = InterfacePairing(
-        mesh_f=mesh_f, mesh_p=mesh_p,
-        fluid_edges=fluid_edges, poro_edges=poro_edges,
-        seg_fluid=seg_fluid, seg_poro=seg_poro,
-        seg_t_f=seg_t_f, seg_t_p=seg_t_p, seg_length=seg_length,
-        seg_n_f=seg_n_f, seg_n_p=seg_n_p, seg_tau=seg_tau)
+        mesh_f=mesh_f, mesh_p=mesh_p, fluid=fluid, poro=poro,
+        seg_fluid=seg_fluid, seg_poro=seg_poro, seg_t_f=seg_t_f, seg_t_p=seg_t_p,
+        seg_length=np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1),
+        seg_n_f=seg_n_f, seg_n_p=mesh_p.bedge_normals()[poro.bedges[seg_poro]],
+        seg_tau=np.column_stack([-seg_n_f[:, 1], seg_n_f[:, 0]]))
     _validate_pairing(pairing, total)
     return pairing
 
@@ -216,45 +200,34 @@ class SegmentQuadrature:
 
 
 def segment_quadrature(pairing: InterfacePairing, degree: int) -> SegmentQuadrature:
-    rule = edge_rule(degree)
-    q = rule.points
-    nseg = pairing.n_segments
-    nq = len(q)
     from .spaces import _geometry
 
-    geo_f = _geometry(pairing.mesh_f)
-    geo_p = _geometry(pairing.mesh_p)
-    pts_f = np.empty((nseg, nq, 2))
-    pts_p = np.empty((nseg, nq, 2))
-    phys = np.empty((nseg, nq, 2))
-    t_edge_p = np.empty((nseg, nq))
-    cells_f = np.empty(nseg, dtype=np.int64)
-    cells_p = np.empty(nseg, dtype=np.int64)
-    for k in range(nseg):
-        fe = pairing.fluid_edges[pairing.seg_fluid[k]]
-        pe = pairing.poro_edges[pairing.seg_poro[k]]
-        cells_f[k] = fe.cell
-        cells_p[k] = pe.cell
-        tf = pairing.seg_t_f[k, 0] + q * (pairing.seg_t_f[k, 1] - pairing.seg_t_f[k, 0])
-        tp = pairing.seg_t_p[k, 0] + q * (pairing.seg_t_p[k, 1] - pairing.seg_t_p[k, 0])
-        t_edge_p[k] = tp
-        xf = fe.a[None, :] + tf[:, None] * (fe.b - fe.a)[None, :]
-        xp = pe.a[None, :] + tp[:, None] * (pe.b - pe.a)[None, :]
-        if np.abs(xf - xp).max() > 1e-10 * max(1.0, pairing.length):
-            raise GeometryMismatchError(f"segment {k}: preimages disagree by {np.abs(xf - xp).max():.2e}")
-        phys[k] = xp
-        pts_f[k] = geo_f.ref_coords(fe.cell, xf)
-        pts_p[k] = geo_p.ref_coords(pe.cell, xp)
-    weights = rule.weights[None, :] * pairing.seg_length[:, None]
-    return SegmentQuadrature(points_f=pts_f, points_p=pts_p, phys=phys, weights=weights,
+    rule = edge_rule(degree)
+
+    def on_edges(trace, j, t):
+        """Owner-edge parameters (n, q) and physical points (n, q, 2) of the rule."""
+        tq = t[:, :1] + rule.points[None, :] * (t[:, 1:] - t[:, :1])
+        a = trace.a[j]
+        return tq, a[:, None, :] + tq[:, :, None] * (trace.b[j] - a)[:, None, :]
+
+    _, xf = on_edges(pairing.fluid, pairing.seg_fluid, pairing.seg_t_f)
+    t_edge_p, xp = on_edges(pairing.poro, pairing.seg_poro, pairing.seg_t_p)
+    gap = np.abs(xf - xp).max(axis=(1, 2))
+    bad = np.flatnonzero(gap > 1e-10 * max(1.0, pairing.length))
+    if len(bad):
+        raise GeometryMismatchError(f"segment {bad[0]}: preimages disagree by {gap[bad[0]]:.2e}")
+    cells_f = pairing.fluid.cells[pairing.seg_fluid]
+    cells_p = pairing.poro.cells[pairing.seg_poro]
+    return SegmentQuadrature(points_f=_geometry(pairing.mesh_f).ref_coords(cells_f, xf),
+                             points_p=_geometry(pairing.mesh_p).ref_coords(cells_p, xp),
+                             phys=xp, weights=rule.weights[None, :] * pairing.seg_length[:, None],
                              t_edge_p=t_edge_p, cells_f=cells_f, cells_p=cells_p)
 
 
 def tangential_permeability(pairing: InterfacePairing, K) -> np.ndarray:
     """K_j = (K tau) . tau per segment, K taken from the adjacent poro cell."""
     tau = pairing.seg_tau
-    if np.ndim(K) == 2:
-        return np.einsum("kd,de,ke->k", tau, np.asarray(K, dtype=float), tau)
     K = np.asarray(K, dtype=float)
-    cells = np.array([pairing.poro_edges[i].cell for i in pairing.seg_poro])
-    return np.einsum("kd,kde,ke->k", tau, K[cells], tau)
+    if K.ndim == 2:
+        return np.einsum("kd,de,ke->k", tau, K, tau)
+    return np.einsum("kd,kde,ke->k", tau, K[pairing.poro.cells[pairing.seg_poro]], tau)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .assembly import PhysicalParams, make_multiplier_space
 from .config import ConfigError, apply_overrides
-from .interface import common_refinement
+from .interface import common_refinement, project_to_polyline
 from .manufactured import PI
 from .mesh import Mesh2D, apply_domain_map, build_fracture_domain, reservoir_domain_map
 from .solver import CoupledSystem, DirichletBC, FluxBC, run_transient
@@ -287,25 +287,21 @@ def build_scenario_system(config: ScenarioConfig) -> CoupledSystem:
 
 def interface_distances(mesh_p: Mesh2D, points: np.ndarray) -> np.ndarray:
     """Distance from ``points`` to the interface polyline of the poro mesh."""
-    ids = mesh_p.boundary_edge_ids("interface")
-    a = mesh_p.nodes[mesh_p.bedges[ids, 0]]
-    b = mesh_p.nodes[mesh_p.bedges[ids, 1]]
-    d = b - a
-    L2 = np.einsum("ed,ed->e", d, d)
-    best = np.full(len(points), np.inf)
-    for e in range(len(ids)):
-        t = np.clip((points - a[e]) @ d[e] / L2[e], 0.0, 1.0)
-        q = a[e] + t[:, None] * d[e]
-        best = np.minimum(best, np.linalg.norm(points - q, axis=1))
-    return best
+    ends = mesh_p.nodes[mesh_p.bedges[mesh_p.boundary_edge_ids("interface")]]
+    return project_to_polyline(points, ends[:, 0], ends[:, 1])[2]
+
+
+def cell_mean_pressure(system: CoupledSystem, state) -> np.ndarray:
+    """Pore pressure averaged over the dofs of each poro cell."""
+    space = system.spaces["pp"]
+    pp = system.view(state.X, "pp")
+    return pp[space.cell_dofs[:, 0]] if space.family == "P0" else pp[space.cell_dofs].mean(axis=1)
 
 
 def scenario_summary(system: CoupledSystem, state, near_radius: float = 0.1) -> dict:
     mesh_p = system.spaces["pp"].mesh
     centroids = mesh_p.nodes[mesh_p.tris].mean(axis=1)
-    pp = system.view(state.X, "pp")
-    cell_pp = pp[system.spaces["pp"].cell_dofs].mean(axis=1) \
-        if system.spaces["pp"].family != "P0" else pp[system.spaces["pp"].cell_dofs[:, 0]]
+    cell_pp = cell_mean_pressure(system, state)
     near = interface_distances(mesh_p, centroids) <= near_radius
     up_c = _rt_at_centroids(system.spaces["up"], system.view(state.X, "up"))
     eta = system.view(state.X, "eta")

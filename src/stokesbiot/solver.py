@@ -106,6 +106,10 @@ class LUSolver:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         B = b.reshape(self.n, -1)
+        # each column over a power of two near its size: exact in the normal
+        # range, and a subnormal right-hand side is solved and checked at unit size
+        size = np.ldexp(1.0, np.frexp(np.abs(B).max(axis=0, initial=0.0))[1])
+        B = B / size
         X = self._solve_scaled(B)
         R, ratio = self._residual(B, X)
         refine = ratio > REFINE_TOL
@@ -113,6 +117,7 @@ class LUSolver:
             self.refinements += 1
             X[:, refine] += self._solve_scaled(R[:, refine])
             _, ratio = self._residual(B, X)
+        X *= size
         if not np.all(np.isfinite(X)):
             raise SingularMatrixError("solve produced non-finite values")
         worst = float(ratio.max(initial=0.0))

@@ -71,9 +71,10 @@ class CellGeometry:
             self._quadrature[key] = (pts, w)
         return self._quadrature[key]
 
-    def ref_coords(self, cell: int, phys: np.ndarray) -> np.ndarray:
-        """Reference coordinates in ``cell`` of physical points (q, 2)."""
-        return (np.atleast_2d(phys) - self.v0[cell]) @ self.invJ[cell].T
+    def ref_coords(self, cells, phys: np.ndarray) -> np.ndarray:
+        """Reference coordinates of physical points: (q, 2) in one cell, or
+        (n, q, 2) in an array of n cells."""
+        return np.matmul(np.atleast_2d(phys) - self.v0[cells][..., None, :], self.invJT[cells])
 
 
 def _geometry(mesh: Mesh2D) -> CellGeometry:

@@ -114,22 +114,16 @@ def _json_default(obj):
 
 def scenario_fields(system, state):
     """Point / cell data dictionaries for the fluid and poro meshes."""
-    sp_uf, sp_pf = system.spaces["uf"], system.spaces["pf"]
-    sp_up, sp_pp, sp_eta = system.spaces["up"], system.spaces["pp"], system.spaces["eta"]
-    mesh_f, mesh_p = sp_uf.mesh, sp_pp.mesh
+    mesh_f, mesh_p = system.spaces["uf"].mesh, system.spaces["pp"].mesh
 
     uf = system.view(state.X, "uf")
     vel_f = uf.reshape(-1, 2)[: mesh_f.n_nodes]       # vertex part of P2 / MINI
     pf = system.view(state.X, "pf")[: mesh_f.n_nodes]
 
     eta = system.view(state.X, "eta").reshape(-1, 2)[: mesh_p.n_nodes]
-    pp = system.view(state.X, "pp")
-    if sp_pp.family == "P0":
-        cell_pp = pp[sp_pp.cell_dofs[:, 0]]
-    else:
-        cell_pp = pp[sp_pp.cell_dofs].mean(axis=1)
-    from .scenarios import _rt_at_centroids
-    up_c = _rt_at_centroids(sp_up, system.view(state.X, "up"))
+    from .scenarios import _rt_at_centroids, cell_mean_pressure
+    cell_pp = cell_mean_pressure(system, state)
+    up_c = _rt_at_centroids(system.spaces["up"], system.view(state.X, "up"))
 
     fluid = {"point": {"velocity": vel_f, "pressure_f": pf}, "cell": {}}
     poro = {"point": {"displacement": eta},

@@ -305,8 +305,8 @@ def test_criterion_8_oracles(single_cell_mesh, affine_cell_mesh):
                                make_space(poro, "VecP1"), L)
     # <phi_v . n_f, mu>: P1 hat at the corner on [0, 1/2] against the
     # indicator of that edge, n_f = (0,-1): -int_0^{1/2} (1 - 2x) dx = -1/4
-    row = next(k for k, pe in enumerate(pairing.poro_edges)
-               if 0.5 * (pe.a + pe.b)[0] < 0.5)
+    row = next(k for k, (a, b) in enumerate(zip(pairing.poro.a, pairing.poro.b))
+               if 0.5 * (a + b)[0] < 0.5)
     corner = int(np.argmin(np.linalg.norm(fluid.nodes, axis=1)))
     val = Bf.toarray()[L.edge_dofs(row)[0], 2 * corner + 1]
     if abs(val - (-0.25)) > 1e-12:

@@ -461,9 +461,9 @@ def test_bgamma_rt0_identity_pattern(flat_setup):
     Bf, Bp, Be = assemble_bgamma(pairing, spaces["uf"], spaces["up"], spaces["eta"], L)
     Bp = Bp.toarray()
     # matching grids: one multiplier per poro edge; entry = +-1 on its own edge
-    for k, pe in enumerate(pairing.poro_edges):
+    for k, bedge in enumerate(pairing.poro.bedges):
         mesh = spaces["up"].mesh
-        e = mesh.bedge_edge_ids()[pe.bedge]
+        e = mesh.bedge_edge_ids()[bedge]
         row = Bp[k]
         assert abs(abs(row[e]) - 1.0) < 1e-12
         row = row.copy()

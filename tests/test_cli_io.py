@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -278,6 +281,77 @@ def test_cli_bad_sb_threads_is_usage_error(tmp_path, capsys, monkeypatch, value)
     rc = cli(["run", "--scenario", "sensitivity", "--out", str(tmp_path)])
     assert rc == 1
     assert "SB_THREADS" in capsys.readouterr().err
+
+
+def _sensitivity_d_config(tmp_path, monkeypatch, sets):
+    """The config ``run --scenario sensitivity:D --set ...`` hands to its run."""
+    import stokesbiot.scenarios
+
+    seen = []
+
+    def capture(config, outdir=None):
+        seen.append(config)
+        return {"near_fracture_mean_pp": 0.0, "max_displacement": 0.0}
+
+    monkeypatch.setenv("SB_THREADS", "1")
+    monkeypatch.setattr(stokesbiot.scenarios, "run_scenario", capture)
+    argv = ["run", "--scenario", "sensitivity:D", "--out", str(tmp_path)]
+    for pair in sets:
+        argv += ["--set", pair]
+    assert cli(argv) == 0
+    return seen[0]
+
+
+@pytest.mark.parametrize("pair,E,nu", [("nu=0.2", 1e10, 0.2), ("nu=0.3", 1e10, 0.3),
+                                        ("e=5e9", 5e9, 0.2)])
+def test_cli_set_e_or_nu_keeps_the_other(tmp_path, monkeypatch, pair, E, nu):
+    from stokesbiot.scenarios import lame_from_E_nu
+
+    # case D has E = 1e10 and nu = 0.2
+    params = _sensitivity_d_config(tmp_path, monkeypatch, [pair]).params
+    lam, mu_p = lame_from_E_nu(E, nu)
+    assert params.lam_p == pytest.approx(lam, rel=1e-12)
+    assert params.mu_p == pytest.approx(mu_p, rel=1e-12)
+
+
+def test_cli_set_kxx_edits_the_k_that_k_sets(tmp_path, monkeypatch):
+    cfg = _sensitivity_d_config(tmp_path, monkeypatch, ["k=1e-10", "kxx=3e-10"])
+    assert np.array_equal(np.asarray(cfg.params.K), np.diag([3e-10, 1e-10]))
+    cfg = _sensitivity_d_config(tmp_path, monkeypatch, ["kyy=1e-10"])
+    assert np.array_equal(np.asarray(cfg.params.K), np.diag([200e-12, 1e-10]))
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["run", "--scenario", "example2", "--resolution", "0.1", "--final-time", "-5"], "--final-time"),
+    (["run", "--scenario", "example2", "--resolution", "-1"], "--resolution"),
+    (["run", "--scenario", "example2", "--resolution", "nan"], "--resolution"),
+    (["converge", "--elements", "low", "--levels", "0"], "--levels"),
+    (["converge", "--elements", "low", "--n0", "0"], "--n0"),
+    (["mesh", "--make", "rect", "--nx", "-2", "--out", "rect.mesh"], "--nx"),
+    (["mesh", "--make", "fracture", "--resolution", "0", "--out", "frac"], "--resolution"),
+])
+def test_cli_non_positive_flag_is_usage_error(tmp_path, capsys, monkeypatch, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    assert cli(argv) == 1
+    assert f"argument {flag}:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_python_m_exit_codes(tmp_path):
+    """``python -m stokesbiot`` exits 0 on success, 1 on a usage error and 2
+    on a runtime failure."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    cases = [
+        (["mesh", "--make", "rect", "--nx", "2", "--ny", "2", "--out", "rect.mesh"], 0),
+        (["converge", "--elements", "low", "--levels", "0"], 1),
+        (["run", "--scenario", "example2", "--resolution", "2.0"], 2),
+    ]
+    for argv, code in cases:
+        proc = subprocess.run([sys.executable, "-m", "stokesbiot", *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == code, (argv, proc.stderr)
+    assert (tmp_path / "rect.mesh").exists()
 
 
 def test_cli_runtime_error_exit_code(tmp_path):

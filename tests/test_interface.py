@@ -1,11 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stokesbiot.interface import (GeometryMismatchError, common_refinement, segment_quadrature,
-                                  tangential_permeability)
-from stokesbiot.mesh import build_fracture_domain, build_structured
+from stokesbiot.interface import (GeometryMismatchError, common_refinement, project_to_polyline,
+                                  segment_quadrature, tangential_permeability)
+from stokesbiot.mesh import apply_domain_map, build_fracture_domain, build_structured, reservoir_domain_map
 
 TAGS = {"left": "left", "right": "right", "bottom": "bottom", "top": "top"}
 
@@ -69,6 +71,14 @@ def test_mismatched_traces_rejected():
     fluid = build_structured((0, 1, 0.1, 1.1), 4, 4, "fluid", {**TAGS, "bottom": "interface"})
     poro = build_structured((0, 1, -1, 0), 4, 4, "poro", {**TAGS, "top": "interface"})
     with pytest.raises(GeometryMismatchError):
+        common_refinement(fluid, poro)
+
+
+def test_two_interface_chains_rejected():
+    fluid = build_structured((0, 1, 0, 1), 4, 4, "fluid", {**TAGS, "bottom": "interface"})
+    poro = build_structured((0, 1, -1, 0), 4, 4, "poro",
+                            {**TAGS, "top": "interface", "bottom": "interface"})
+    with pytest.raises(GeometryMismatchError, match="not a single open chain"):
         common_refinement(fluid, poro)
 
 
@@ -137,3 +147,47 @@ def test_tangential_permeability_per_segment():
     m = pairing.mesh_p.n_tris
     Kcells = np.broadcast_to(K, (m, 2, 2))
     assert np.allclose(tangential_permeability(pairing, Kcells), 3.0, atol=1e-13)
+
+
+def check_projection(points, a, b):
+    """``project_to_polyline`` against a point-by-point, segment-by-segment
+    search in plain floats."""
+    seg, t, dist = project_to_polyline(points, a, b)
+    scale = max(1.0, float(np.abs(points).max()), float(np.abs(a).max()), float(np.abs(b).max()))
+    for p, k, tk, dk in zip(points, seg, t, dist):
+        best = np.inf
+        for (ax, ay), (bx, by) in zip(a.tolist(), b.tolist()):
+            dx, dy = bx - ax, by - ay
+            u = min(1.0, max(0.0, ((p[0] - ax) * dx + (p[1] - ay) * dy) / (dx * dx + dy * dy)))
+            best = min(best, math.hypot(p[0] - ax - u * dx, p[1] - ay - u * dy))
+        assert 0.0 <= tk <= 1.0
+        assert dk == pytest.approx(best, abs=1e-12 * scale)
+        foot = a[k] + tk * (b[k] - a[k])
+        assert np.linalg.norm(p - foot) == pytest.approx(dk, abs=1e-12 * scale)
+
+
+coords = st.floats(-2.0, 2.0, allow_nan=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(vertices=st.lists(st.tuples(coords, coords), min_size=2, max_size=8),
+       points=st.lists(st.tuples(coords, coords), min_size=1, max_size=12))
+def test_project_to_polyline_matches_brute_force(vertices, points):
+    poly = np.array(vertices)
+    a, b = poly[:-1], poly[1:]
+    keep = np.linalg.norm(b - a, axis=1) > 1e-6
+    if not keep.any():
+        return
+    check_projection(np.array(points), a[keep], b[keep])
+
+
+def test_project_to_polyline_on_mapped_fracture_trace():
+    fluid, poro = (apply_domain_map(m, reservoir_domain_map()) for m in build_fracture_domain(0.08))
+    ends = poro.nodes[poro.bedges[poro.boundary_edge_ids("interface")]]
+    fluid_ends = fluid.nodes[fluid.bedges[fluid.boundary_edge_ids("interface")]].reshape(-1, 2)
+    rng = np.random.default_rng(7)
+    lo, hi = poro.nodes.min(axis=0), poro.nodes.max(axis=0)
+    points = np.vstack([fluid_ends, lo + rng.random((20, 2)) * (hi - lo)])
+    check_projection(points, ends[:, 0], ends[:, 1])
+    # the fluid trace lies on the poro trace
+    assert project_to_polyline(fluid_ends, ends[:, 0], ends[:, 1])[2].max() < 1e-12 * np.abs(hi).max()
