@@ -159,7 +159,7 @@ def assemble_divergence(V: FESpace, W: FESpace) -> sp.csr_matrix:
     _check_div_pairing(V, W)
     rule = triangle_rule(default_quad_degree(V, W))
     _, w = V.geometry.quadrature(rule)
-    pv, _ = W.tabulate(rule)                         # scalar pressure values (nw, q)
+    pv = W.ref_values(rule)                          # scalar pressure values (nw, q)
     if V.rt_order is not None:
         _, divs = V.tabulate(rule)                   # (m, nv, q)
         eloc = np.einsum("iq,mjq,mq->mij", pv, divs, w)

@@ -34,6 +34,17 @@ def _positive(kind):
     return convert
 
 
+def _rect(text):
+    """argparse type of ``--rect``: finite x0,x1,y0,y1 with x0 < x1 and y0 < y1."""
+    try:
+        x0, x1, y0, y1 = (float(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not four numbers x0,x1,y0,y1") from None
+    if not (math.isfinite(x1 - x0) and math.isfinite(y1 - y0) and x0 < x1 and y0 < y1):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a rectangle with x0 < x1 and y0 < y1")
+    return x0, x1, y0, y1
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="stokesbiot", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -60,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     m.add_argument("--make", choices=["rect", "fracture"], required=True)
     m.add_argument("--nx", type=_positive(int), default=8)
     m.add_argument("--ny", type=_positive(int), default=8)
-    m.add_argument("--rect", default="0,1,0,1", help="x0,x1,y0,y1")
+    m.add_argument("--rect", type=_rect, default="0,1,0,1", help="x0,x1,y0,y1")
     m.add_argument("--subdomain", default="fluid")
     m.add_argument("--resolution", type=_positive(float), default=0.05)
     m.add_argument("--out", required=True, help="output path (prefix for fracture)")
@@ -68,7 +79,6 @@ def _build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("diag", help="numerical diagnostics")
     d.add_argument("--infsup", action="store_true")
     d.add_argument("--energy", action="store_true")
-    d.add_argument("--out", default=".")
     return p
 
 
@@ -97,15 +107,17 @@ def _cmd_converge(args) -> int:
 def _cmd_run(args) -> int:
     from .config import apply_overrides, parse_config, parse_set_pairs
     from .scenarios import (example2_config, example3_config, run_scenario,
-                            run_sensitivity, sweep_threads, synthetic_spe_standin,
-                            write_raster)
+                            run_sensitivity, sensitivity_configs, sweep_threads,
+                            synthetic_spe_standin, write_raster)
+    from .solver import step_count
     from .vtkio import write_manifest
 
     sets = parse_set_pairs(args.sets)
     sections = parse_config(args.config) if args.config else {}
-    os.makedirs(args.out, exist_ok=True)
 
     name = args.scenario.lower()
+    poro = os.path.join(args.out, "porosity.raster")
+    perm = os.path.join(args.out, "permeability.raster")
     if name.startswith("sensitivity"):
         cases = ("A", "B", "C", "D")
         if ":" in name:
@@ -113,6 +125,26 @@ def _cmd_run(args) -> int:
             if case not in {"A", "B", "C", "D"}:
                 raise SystemExit(f"unknown sensitivity case {case!r}")
             cases = (case,)
+        configs = [sensitivity_configs(args.resolution)[c] for c in cases]
+    elif name == "example2":
+        configs = [example2_config(resolution=args.resolution)]
+    elif name == "example3":
+        configs = [example3_config(porosity_raster=poro, permeability_raster=perm,
+                                   resolution=args.resolution)]
+    else:
+        raise SystemExit(f"unknown scenario {args.scenario!r}")
+    configs = [apply_overrides(config, sections, sets) for config in configs]
+    if args.final_time is not None:
+        from dataclasses import replace
+        configs = [replace(config, T=args.final_time) for config in configs]
+    for config in configs:    # before anything is written
+        try:
+            step_count(config.T, config.tau)
+        except ValueError as exc:
+            raise SystemExit(f"{'--final-time' if args.final_time else '[time] t / tau'}: {exc}") from None
+    os.makedirs(args.out, exist_ok=True)
+
+    if name.startswith("sensitivity"):
         results = run_sensitivity(cases, resolution=args.resolution, outdir=args.out,
                                   T=args.final_time, sections=sections, sets=sets)
         for c, summary in sorted(results.items()):
@@ -122,26 +154,12 @@ def _cmd_run(args) -> int:
                        {**results, "threads": sweep_threads(len(cases))})
         return 0
 
-    if name == "example2":
-        config = example2_config(resolution=args.resolution)
-    elif name == "example3":
-        poro = os.path.join(args.out, "porosity.raster")
-        perm = os.path.join(args.out, "permeability.raster")
-        if not (os.path.exists(poro) and os.path.exists(perm)):
-            pf, kf = synthetic_spe_standin()
-            write_raster(pf, poro)
-            write_raster(kf, perm)
-            print(f"wrote synthetic field data: {poro}, {perm}")
-        config = example3_config(porosity_raster=poro, permeability_raster=perm,
-                                 resolution=args.resolution)
-    else:
-        raise SystemExit(f"unknown scenario {args.scenario!r}")
-
-    config = apply_overrides(config, sections, sets)
-    if args.final_time is not None:
-        from dataclasses import replace
-        config = replace(config, T=args.final_time)
-    summary = run_scenario(config, outdir=os.path.join(args.out, name))
+    if name == "example3" and not (os.path.exists(poro) and os.path.exists(perm)):
+        pf, kf = synthetic_spe_standin()
+        write_raster(pf, poro)
+        write_raster(kf, perm)
+        print(f"wrote synthetic field data: {poro}, {perm}")
+    summary = run_scenario(configs[0], outdir=os.path.join(args.out, name))
     for k, v in sorted(summary.items()):
         print(f"{k}: {v}")
     return 0
@@ -151,10 +169,7 @@ def _cmd_mesh(args) -> int:
     from .mesh import build_fracture_domain, build_structured, write_mesh
 
     if args.make == "rect":
-        rect = tuple(float(v) for v in args.rect.split(","))
-        if len(rect) != 4:
-            raise SystemExit("--rect expects x0,x1,y0,y1")
-        mesh = build_structured(rect, args.nx, args.ny, args.subdomain,
+        mesh = build_structured(args.rect, args.nx, args.ny, args.subdomain,
                                 {"left": "left", "right": "right", "bottom": "bottom", "top": "top"})
         write_mesh(mesh, args.out)
         print(f"wrote {args.out}: {mesh.n_nodes} nodes, {mesh.n_tris} triangles")

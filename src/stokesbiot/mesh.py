@@ -94,23 +94,22 @@ class Mesh2D:
         """Owning cell and local edge index for every boundary edge."""
         if "bedge_owner" not in self._cache:
             edges, cell_edges = self._edge_data()
-            lookup = {tuple(e): i for i, e in enumerate(edges)}
-            ecells = self.edge_cells()
-            owner = np.empty(len(self.bedges), dtype=np.int64)
-            local = np.empty(len(self.bedges), dtype=np.int64)
-            eid = np.empty(len(self.bedges), dtype=np.int64)
-            for i, (a, b) in enumerate(self.bedges):
-                key = (min(a, b), max(a, b))
-                if key not in lookup:
-                    raise ValueError(f"boundary edge {a, b} not a mesh edge")
-                e = lookup[key]
-                c0, c1 = ecells[e]
-                if c1 != -1:
-                    raise ValueError(f"boundary edge {a, b} is interior")
-                owner[i] = c0
-                local[i] = int(np.nonzero(self.cell_edges[c0] == e)[0][0])
-                eid[i] = e
-            self._cache["bedge_owner"] = (owner, local)
+            # edges are unique sorted pairs in lexicographic order, so their
+            # codes a * n + b are sorted too
+            code = edges[:, 0] * self.n_nodes + edges[:, 1]
+            keys = np.sort(self.bedges, axis=1)
+            eid = np.minimum(np.searchsorted(code, keys[:, 0] * self.n_nodes + keys[:, 1]),
+                             len(code) - 1)
+            missing = edges[eid] != keys
+            if missing.any():
+                a, b = self.bedges[np.argmax(missing.any(axis=1))]
+                raise ValueError(f"boundary edge {int(a), int(b)} not a mesh edge")
+            c0, c1 = self.edge_cells()[eid].T
+            if np.any(c1 != -1):
+                a, b = self.bedges[np.argmax(c1 != -1)]
+                raise ValueError(f"boundary edge {int(a), int(b)} is interior")
+            local = np.argmax(cell_edges[c0] == eid[:, None], axis=1)
+            self._cache["bedge_owner"] = (c0, local)
             self._cache["bedge_edge_ids"] = eid
         return self._cache["bedge_owner"]
 
@@ -124,10 +123,6 @@ class Mesh2D:
         d = self.nodes[self.bedges[:, 1]] - self.nodes[self.bedges[:, 0]]
         n = np.column_stack([d[:, 1], -d[:, 0]])
         return n / np.linalg.norm(n, axis=1)[:, None]
-
-    def bedge_lengths(self) -> np.ndarray:
-        d = self.nodes[self.bedges[:, 1]] - self.nodes[self.bedges[:, 0]]
-        return np.linalg.norm(d, axis=1)
 
     def boundary_edge_ids(self, tags) -> np.ndarray:
         if isinstance(tags, str):

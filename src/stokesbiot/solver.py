@@ -11,11 +11,15 @@ constrained velocity / displacement node pairs into normal-tangential form
 where needed, then eliminates rows and columns with a symmetric right-hand
 side correction.  The step matrix is factorized once and reused.
 
-``LUSolver`` factorizes the max-norm row/column equilibration of a matrix,
-so one triangular solve per application normally meets ``REFINE_TOL``; the
-scaled residual is checked every time, one refinement pass is made only
-when it misses, and a solve that still misses raises ``SingularMatrixError``
-instead of returning a wrong answer.
+``LUSolver`` factorizes the max-norm row/column equilibration of a matrix
+after condensing out, cell by cell, the unknowns that couple only within
+one cell (MINI bubbles, RT1 interior moments, and the discontinuous pore
+pressure when the storage term makes its cell block invertible), so one
+triangular solve of the smaller Schur complement per application normally
+meets ``REFINE_TOL``; the scaled residual of the full matrix is checked
+every time, one refinement pass is made only when it misses, and a solve
+that still misses raises ``SingularMatrixError`` instead of returning a
+wrong answer.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ FIELDS = ("uf", "up", "eta", "pf", "pp", "lam")
 DENSE_FALLBACK = 2000
 REFINE_TOL = 1e-12                # scaled residual that triggers (and must survive) refinement
 PIVOT_TOL = np.finfo(float).eps   # dense pivot at round-off level of the largest
+INTERIOR_GROWTH_LIMIT = 1.0 / np.sqrt(PIVOT_TOL)   # cells condensed only below this growth bound
 
 
 class SingularMatrixError(RuntimeError):
@@ -45,33 +50,53 @@ class SingularMatrixError(RuntimeError):
 
 
 class LUSolver:
-    """Direct solve of an equilibrated matrix, refined only when needed.
+    """Direct solve of an equilibrated matrix with its cell-interior unknowns
+    condensed out, refined only when needed.
 
     Rows and columns are scaled once by ``1/sqrt`` of their largest
-    magnitudes and ``D_r M D_c`` is factorized: dense LU below
-    ``DENSE_FALLBACK`` unknowns, SuperLU (threshold partial pivoting, COLAMD
-    ordering) above.  Each ``solve`` makes one triangular solve and checks
-    the scaled residual ``|D_r (b - M x)|_inf`` against ``REFINE_TOL`` times
+    magnitudes, giving ``A = D_r M D_c``.  ``interior`` lists ``(m, k)``
+    arrays of unknowns, one row per cell; the block ``A_II`` of ``A`` on
+    them must couple only unknowns of the same row (``ValueError``
+    otherwise).  Each ``k x k`` cell block is scaled by its own row and
+    column maxima and decomposed (SVD), batched over the cells, and the Schur
+    complement ``S = A_CC - A_CI A_II^-1 A_IC`` on the other unknowns is
+    factorized: dense LU below ``DENSE_FALLBACK`` unknowns of ``S``, SuperLU
+    (threshold partial pivoting, COLAMD ordering) above.  Elimination in
+    this fixed order has no pivoting across cells, so a cell is condensed
+    only if a bound on the entries it adds to ``S`` (its growth, in units of
+    ``A``) is below ``INTERIOR_GROWTH_LIMIT``: round-off then stays below
+    ``sqrt(eps)``, which one refinement pass repairs.  A singular or nearly
+    singular cell block, or a small pivot with large couplings, leaves that
+    cell's unknowns in ``S``.  ``interior`` and ``kept`` are the condensed
+    and the other unknowns, ``interior_cond`` and ``interior_growth`` the
+    largest condition number (2-norm, scaled) and growth of a condensed
+    block.  Without ``interior`` nothing is condensed and ``S = A``.
+
+    Each ``solve`` makes one triangular solve of ``S``, recovers the interior
+    unknowns cell by cell, and checks the scaled residual of the full
+    matrix, ``|D_r (b - M x)|_inf``, against ``REFINE_TOL`` times
     ``|D_r b|_inf``, per column; a column above it gets one refinement pass
     (counted in ``refinements``), and one still above it afterwards raises
-    ``SingularMatrixError``.  ``max_residual`` is the largest scaled residual
-    returned so far.
+    ``SingularMatrixError``.  ``max_residual`` is the largest scaled
+    residual returned so far.
     """
 
-    def __init__(self, M, dense_threshold: int = DENSE_FALLBACK):
+    def __init__(self, M, dense_threshold: int = DENSE_FALLBACK, interior=None):
         M = sp.csc_matrix(M)
         if M.shape[0] != M.shape[1]:
             raise ValueError("matrix must be square")
         self.M = M
         self.n = M.shape[0]
-        self.dense = self.n < dense_threshold
         self.refinements = 0
         self.max_residual = 0.0
         absM = abs(M)
         self.dr = _inv_sqrt_max(absM.max(axis=1), "row")
         self.dc = _inv_sqrt_max(absM.max(axis=0), "column")
-        S = absM      # reused: the equilibrated matrix D_r M D_c
-        S.data = M.data * self.dr[M.indices] * np.repeat(self.dc, np.diff(M.indptr))
+        A = absM      # reused: the equilibrated matrix D_r M D_c
+        A.data = M.data * self.dr[M.indices] * np.repeat(self.dc, np.diff(M.indptr))
+        S = self._condense(A.tocsr(), interior or ())
+        del A, absM   # not held while factorizing: lowers peak memory
+        self.dense = S.shape[0] < dense_threshold
         if self.dense:
             import warnings
 
@@ -80,21 +105,97 @@ class LUSolver:
                 lu, piv = dla.lu_factor(S.toarray())
             diag = np.abs(np.diag(lu))
             if not np.all(np.isfinite(lu)) or diag.min() <= PIVOT_TOL * diag.max():
-                bad = int(np.argmin(diag))
+                bad = int(self.kept[np.argmin(diag)])
                 raise SingularMatrixError(
-                    f"singular matrix, pivot {diag[bad]:.2e} at {bad} "
+                    f"singular matrix, pivot {diag.min():.2e} at {bad} "
                     f"(largest {diag.max():.2e})", pivot=bad)
             self._fact = (lu, piv)
         else:
             try:
-                self._fact = spla.splu(S)
+                self._fact = spla.splu(S.tocsc())
             except RuntimeError as exc:
                 raise SingularMatrixError(str(exc)) from exc
 
+    def _condense(self, A, interior) -> sp.csr_matrix:
+        """Factorize the interior cell blocks of the equilibrated CSR ``A``
+        and return the Schur complement ``S`` on the kept unknowns."""
+        groups = [b.astype(np.int64) for b in map(np.asarray, interior) if b.size]
+        cell = np.full(self.n, -1)     # cell number of each listed unknown
+        slot = np.zeros(self.n, dtype=np.int64)   # its place in the cell's block
+        first = np.cumsum([0] + [len(b) for b in groups])
+        for f, b in zip(first, groups):
+            cell[b] = f + np.arange(len(b))[:, None]
+            slot[b] = np.arange(b.shape[1])
+        listed = np.concatenate([b.ravel() for b in groups] or [[]]).astype(np.int64)
+        if np.count_nonzero(cell >= 0) != len(listed):
+            raise ValueError("an interior unknown is listed twice")
+        rows_L = A[listed]
+        A_II = rows_L[:, listed].tocoo()
+        r, c, v = listed[A_II.row], listed[A_II.col], A_II.data
+        couple = (cell[r] != cell[c]) & (v != 0)
+        if couple.any():
+            j = int(np.argmax(couple))
+            raise ValueError(f"interior unknowns {r[j]} and {c[j]} of different cells are coupled")
+        # largest coupling of each listed unknown to the unlisted ones, by
+        # column (u) and by row (v)
+        outside = cell < 0
+        u = abs(A[outside][:, listed]).max(axis=0).toarray().ravel()
+        v_out = abs(rows_L[:, outside]).max(axis=1).toarray().ravel()
+        kept_groups, self.interior_cond, self.interior_growth = [], 0.0, 0.0
+        at = np.cumsum([0] + [b.size for b in groups])
+        for f, at0, b in zip(first, at, groups):
+            m, k = b.shape
+            B = np.zeros((m, k, k))
+            inside = (cell[r] >= f) & (cell[r] < f + m)
+            B[cell[r[inside]] - f, slot[r[inside]], slot[c[inside]]] = v[inside]
+            factors = _scaled_svd(B)
+            scale_r, scale_c, _, sv, _ = factors
+            # as B^-1 = diag(c) Bs^-1 diag(r) and |Bs^-1| <= 1 / sigma_min,
+            # eliminating a cell adds at most (u . c)(r . v) / sigma_min to an
+            # entry of S
+            pos = slice(at0, at0 + m * k)         # the group's place in ``listed``
+            with np.errstate(divide="ignore", invalid="ignore"):
+                growth = ((u[pos].reshape(m, k) * scale_c).sum(axis=1)
+                          * (v_out[pos].reshape(m, k) * scale_r).sum(axis=1) / sv[:, -1])
+            ok = growth < INTERIOR_GROWTH_LIMIT
+            if ok.any():
+                kept_groups.append((b[ok], _CellBlocks(*(a[ok] for a in factors))))
+                self.interior_cond = max(self.interior_cond, float((sv[ok, 0] / sv[ok, -1]).max()))
+                self.interior_growth = max(self.interior_growth, float(growth[ok].max()))
+        I = np.concatenate([b.ravel() for b, _ in kept_groups] or [[]]).astype(np.int64)
+        is_interior = np.zeros(self.n, dtype=bool)
+        is_interior[I] = True
+        self.interior, self.kept = I, np.nonzero(~is_interior)[0]
+        rows_I, rows_C = A[I], A[self.kept]
+        self._A_IC, self._A_CI = rows_I[:, self.kept], rows_C[:, I]
+        self._blocks, W, start = [], [], 0     # W: A_II^-1 A_IC as (rows, cols, values)
+        for b, blocks in kept_groups:
+            span = slice(start, start + b.size)
+            self._blocks.append((span, blocks))
+            W.append(blocks.solve_sparse(self._A_IC[span], start))
+            start = span.stop
+        rows, cols, vals = (np.concatenate([w[j] for w in W] or [[]]) for j in range(3))
+        W = sp.csr_matrix((vals, (rows.astype(np.int64), cols.astype(np.int64))),
+                          shape=self._A_IC.shape)
+        return rows_C[:, self.kept] - self._A_CI @ W
+
+    def _interior_solve(self, R):
+        """``A_II^-1 R`` for (n_I, k) ``R``, cell block by cell block."""
+        out = np.empty_like(R)
+        for span, blocks in self._blocks:
+            out[span] = blocks.solve(R[span])
+        return out
+
     def _solve_scaled(self, R):
-        """``X`` with ``M X = R`` for (n, k) ``R``, through the factor of ``D_r M D_c``."""
+        """``X`` with ``M X = R`` for (n, k) ``R``, through the factor of ``S``."""
         Rs = R * self.dr[:, None]
-        Y = dla.lu_solve(self._fact, Rs) if self.dense else self._fact.solve(Rs)
+        I, C = self.interior, self.kept
+        Z = self._interior_solve(Rs[I])
+        Yc = Rs[C] - self._A_CI @ Z
+        Yc = dla.lu_solve(self._fact, Yc) if self.dense else self._fact.solve(Yc)
+        Y = np.empty_like(Rs)
+        Y[C] = Yc
+        Y[I] = Z - self._interior_solve(self._A_IC @ Yc)
         return Y * self.dc[:, None]
 
     def _residual(self, B, X):
@@ -126,6 +227,60 @@ class LUSolver:
                 f"scaled residual {worst:.2e} above {REFINE_TOL:.0e} after refinement")
         self.max_residual = max(self.max_residual, worst)
         return X.reshape(b.shape)
+
+
+def _scaled_svd(B: np.ndarray):
+    """Scale (m, k, k) blocks by their row and then their column maxima and
+    decompose them: the row and column scales ``r``, ``c`` (m, k), and
+    ``U^T``, the singular values (m, k), largest first, and ``V`` of
+    ``diag(r) B diag(c)``."""
+    r = 1.0 / _nonzero(np.abs(B).max(axis=2))
+    B = B * r[:, :, None]
+    c = 1.0 / _nonzero(np.abs(B).max(axis=1))
+    B *= c[:, None, :]
+    U, s, Vt = np.linalg.svd(B)
+    return r, c, np.swapaxes(U, 1, 2), s, np.swapaxes(Vt, 1, 2)
+
+
+def _nonzero(x: np.ndarray) -> np.ndarray:
+    return np.where(x > 0, x, 1.0)
+
+
+class _CellBlocks:
+    """m cell blocks ``B`` of size k x k, held as the singular value
+    decompositions of their scaled forms (see ``_scaled_svd``).
+
+    A solve applies ``U^T``, ``1 / s`` and ``V`` in turn, two batched
+    matmuls; unlike a product with an explicit inverse this is backward
+    stable however ill-conditioned a block is.
+    """
+
+    def __init__(self, r, c, Ut, s, V):
+        self.r, self.c, self.Ut, self.s, self.V = r, c, Ut, s, V
+
+    def solve(self, R: np.ndarray) -> np.ndarray:
+        """``B^-1 R`` for (m k, n) ``R`` or (m, k, n) ``R``, of the same shape."""
+        m, k = self.s.shape
+        Y = np.matmul(self.Ut, R.reshape(m, k, -1) * self.r[:, :, None]) / self.s[:, :, None]
+        return (np.matmul(self.V, Y) * self.c[:, :, None]).reshape(R.shape)
+
+    def solve_sparse(self, Q: sp.csr_matrix, row0: int):
+        """``B^-1 Q`` for the sparse (m k, n) ``Q`` as (rows + row0, cols, values).
+
+        The columns a cell's rows of ``Q`` touch are gathered into a dense
+        (m, k, p) array, so each block is solved once for all of them.
+        """
+        m, k = self.s.shape
+        Q = Q.tocoo()
+        key = (Q.row // k) * Q.shape[1] + Q.col            # (cell, column)
+        keys, slot_of = np.unique(key, return_inverse=True)
+        cell, col = keys // Q.shape[1], keys % Q.shape[1]
+        slot = np.arange(len(keys)) - np.searchsorted(cell, cell)
+        D = np.zeros((m, k, slot.max(initial=-1) + 1))
+        D[Q.row // k, Q.row % k, slot[slot_of]] = Q.data
+        X = self.solve(D)[cell, :, slot]                   # (keys, k)
+        rows = row0 + cell[:, None] * k + np.arange(k)
+        return rows.ravel(), np.repeat(col, k), X.ravel()
 
 
 def _inv_sqrt_max(maxima, kind: str) -> np.ndarray:
@@ -281,10 +436,17 @@ class ConstrainedOperator:
 
     The constrained node pairs are rotated once, the dofs split into free and
     fixed, and the free block factorized (unless ``factorize`` is false).
-    Vectors passed in and returned are in the unrotated frame.
+    ``interior`` lists ``(m, k)`` arrays of cell-interior dofs in global
+    numbering, one row per cell; they must all be free, and ``LUSolver``
+    condenses them out cell by cell.  A cell's set must have an invertible
+    diagonal block to be condensed: the RT1 interior moments with the P1dc
+    pore pressure do when the storage term ``s0 > 0`` fills the pressure
+    block, and are singular (3 pressure rows against 2 moments) when
+    ``s0 = 0``, so ``CoupledSystem`` adds the pore pressure only for
+    ``s0 > 0``.  Vectors passed in and returned are in the unrotated frame.
     """
 
-    def __init__(self, A, constraints: Constraints, factorize: bool = True):
+    def __init__(self, A, constraints: Constraints, factorize: bool = True, interior=None):
         self.n = A.shape[0]
         self.R = constraints.rotation(self.n)
         At = A if self.R is None else (self.R @ A @ self.R.T).tocsr()
@@ -293,7 +455,13 @@ class ConstrainedOperator:
         rows = At[self.free]
         self.A_ff, self.A_fc = rows[:, self.free], rows[:, self.fixed]
         del At, rows      # not held while factorizing: lowers peak memory
-        self.lu = LUSolver(self.A_ff) if factorize else None
+        number = np.full(self.n, -1, dtype=np.int64)    # free numbering, -1 if fixed
+        number[self.free] = np.arange(len(self.free))
+        interior = [np.asarray(b) for b in interior or ()]
+        for b in interior:
+            if np.any(number[b] < 0):
+                raise ValueError(f"interior dof {int(b[number[b] < 0][0])} is constrained")
+        self.lu = LUSolver(self.A_ff, interior=[number[b] for b in interior]) if factorize else None
 
     def solve(self, rhs: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
         """Solution with fixed dofs set to ``g`` (zero by default).
@@ -394,7 +562,11 @@ class CoupledSystem:
         self.M = (self.E / tau + self.H).tocsr()
 
         self.constraints = build_constraints(spaces, self.offsets, bcs)
-        self.op = ConstrainedOperator(self.M, self.constraints, factorize)
+        # one block per cell: the fluid bubbles; the RT1 moments with the
+        # pore pressure, whose cell block is singular without storage
+        poro = ("up", "pp") if params.s0 > 0 else ("up",)
+        interior = [self.interior_dofs(("uf",)), self.interior_dofs(poro)]
+        self.op = ConstrainedOperator(self.M, self.constraints, factorize, interior)
         self.M_ff, self.lu = self.op.A_ff, self.op.lu
         self._load_cache = {}
 
@@ -411,6 +583,10 @@ class CoupledSystem:
             want = (self.sizes[r], self.sizes[c])
             if got != want:
                 raise ValueError(f"block {name} has shape {got}, expected {want}")
+
+    def interior_dofs(self, names) -> np.ndarray:
+        """(m, k) cell-interior dofs of the fields ``names``, global numbering."""
+        return np.hstack([self.offsets[n] + self.spaces[n].interior_dofs() for n in names])
 
     # -- field views ---------------------------------------------------------
 
@@ -479,7 +655,8 @@ class CoupledSystem:
                                  [bc for bc in self.bcs if bc.field in ("uf", "up")])
         # factorize before the first load, so that the quadrature cache the
         # load fills grows after the factorization's memory peak, not during it
-        op = ConstrainedOperator(A, cons)
+        interior = [offs[n] + self.spaces[n].interior_dofs() for n in ("uf", "up")]
+        op = ConstrainedOperator(A, cons, interior=interior)
         L0 = self.load(0.0)
         pp0 = self.view(state.X, "pp")
         rhs = np.concatenate([
@@ -538,6 +715,14 @@ def _bmat_fields(rows, sizes: dict) -> sp.csr_matrix:
     return sp.bmat(fixed_rows, format="csr")
 
 
+def step_count(T: float, tau: float) -> int:
+    """Number of steps of ``tau`` that reach ``T``; ``ValueError`` unless whole."""
+    N = int(round(T / tau))
+    if abs(N * tau - T) > 1e-12 * max(1.0, abs(T)):
+        raise ValueError(f"final time {T} is not an integer number of steps of {tau}")
+    return N
+
+
 def run_transient(system: CoupledSystem, T: float, state0: TransientState,
                   output_stride: int = 0, collect_diagnostics: bool = False):
     """March to time T; returns (states, diagnostics).
@@ -546,10 +731,7 @@ def run_transient(system: CoupledSystem, T: float, state0: TransientState,
     keeps every k-th step.  Diagnostics are per-step dicts with the interface
     constraint residual and the discrete energy identity residual.
     """
-    tau = system.tau
-    N = int(round(T / tau))
-    if abs(N * tau - T) > 1e-12 * max(1.0, abs(T)):
-        raise ValueError(f"final time {T} is not an integer number of steps of {tau}")
+    N = step_count(T, system.tau)
     states = [state0]
     diagnostics = []
     prev = state0

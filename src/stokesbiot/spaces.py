@@ -124,6 +124,12 @@ class FESpace:
                 self._cache[key] = (vals, grads)
         return self._cache[key]
 
+    def ref_values(self, rule: QuadratureRule) -> np.ndarray:
+        """Scalar component values (n_loc, q) of a Lagrange family at the
+        rule's points: the values of ``tabulate`` without building (and
+        caching) its physical gradients, for callers that read values only."""
+        return SCALAR_ELEMENTS[self.scalar_name].tabulate(rule.points)[0]
+
     def _rt_data(self):
         """Batched per-cell RT basis coefficients: inverse dof-moment matrices of
         ``elements._rt_monomials`` (the one RT basis construction)."""
@@ -185,6 +191,15 @@ class FESpace:
         return np.einsum("kcqd,ckn->cnqd", mv / scale[None, cells, None, None], coeffs[cells])
 
     # -- dof helpers ---------------------------------------------------------
+
+    def interior_dofs(self) -> np.ndarray:
+        """(m, k) dofs that belong to one cell only: the bubbles of P1bubble,
+        the interior moments of RT1, every dof of P0 / P1dc; (m, 0) otherwise."""
+        if self.rt_order is not None:
+            k = 2 * self.rt_order
+        else:
+            k = SCALAR_ELEMENTS[self.scalar_name].dofs_per_cell * (2 if self.vector else 1)
+        return self.cell_dofs[:, self.n_loc - k:]
 
     def vertex_dofs(self, vertices) -> np.ndarray:
         """Global dofs attached to mesh vertices; (n,) scalar or (n, 2) vector."""
@@ -305,7 +320,7 @@ def mass_matrix(space: FESpace, rule: QuadratureRule | None = None) -> sp.csr_ma
         vals, _ = space.tabulate(rule)
         eloc = np.einsum("miqd,mjqd,mq->mij", vals, vals, w)
     else:
-        vals, _ = space.tabulate(rule)
+        vals = space.ref_values(rule)
         eloc_s = np.einsum("iq,jq,mq->mij", vals, vals, w)
         if space.vector:
             eloc = _expand_vector_blocks(eloc_s)
@@ -343,9 +358,7 @@ def load_vector(space: FESpace, f, rule: QuadratureRule | None = None) -> np.nda
         m = len(w)
         eloc = np.matmul(vals.reshape(m, space.n_loc, -1), fw.reshape(m, -1, 1))
     else:
-        # reference values suffice: space.tabulate would also build (and keep)
-        # physical gradients, (m, n_loc, q, 2), that a load never reads
-        vals, _ = SCALAR_ELEMENTS[space.scalar_name].tabulate(rule.points)
+        vals = space.ref_values(rule)
         if space.vector:
             eloc = vals @ (fx.reshape(pts.shape) * w[..., None])   # (m, n_s, 2), interleaved (x, y)
         else:

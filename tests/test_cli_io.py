@@ -365,3 +365,25 @@ def test_cli_diag_energy(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "energy residual" in out
+
+
+@pytest.mark.parametrize("rect", ["0,1,x,1", "1,0,0,1", "0,1,1,1", "0,1,0", "0,inf,0,1"])
+def test_cli_bad_rect_is_usage_error(tmp_path, capsys, monkeypatch, rect):
+    monkeypatch.chdir(tmp_path)
+    assert cli(["mesh", "--make", "rect", "--rect", rect, "--out", "rect.mesh"]) == 1
+    assert "argument --rect:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("scenario", ["example2", "sensitivity:C"])
+def test_cli_final_time_off_the_step_grid_is_usage_error(tmp_path, capsys, scenario):
+    out = tmp_path / "out"
+    rc = cli(["run", "--scenario", scenario, "--final-time", "0.5", "--out", str(out)])
+    assert rc == 1
+    assert "--final-time" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_diag_has_no_out_flag(capsys):
+    assert cli(["diag", "--infsup", "--out", "somewhere"]) == 1
+    assert "unrecognized arguments: --out" in capsys.readouterr().err

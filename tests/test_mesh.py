@@ -197,3 +197,46 @@ def test_read_nonfinite_coordinate(tmp_path):
     with pytest.raises(MeshParseError) as err:
         read_mesh(path)
     assert err.value.line == 4
+
+
+def _bedge_owner_by_dict(mesh):
+    """The per-edge dictionary lookup that ``bedge_owner`` used to make."""
+    lookup = {tuple(e): i for i, e in enumerate(mesh.edges)}
+    ecells = mesh.edge_cells()
+    owner, local, eid = [], [], []
+    for a, b in mesh.bedges:
+        e = lookup[(min(a, b), max(a, b))]
+        owner.append(ecells[e][0])
+        local.append(int(np.nonzero(mesh.cell_edges[ecells[e][0]] == e)[0][0]))
+        eid.append(e)
+    return np.array(owner), np.array(local), np.array(eid)
+
+
+def test_bedge_owner_matches_dict_lookup():
+    tags = {"left": "l", "right": "r", "bottom": "b", "top": "t"}
+    meshes = [build_structured((0, 1, 0, 1), 5, 3, "fluid", tags),
+              *build_fracture_domain(0.1),
+              *(apply_domain_map(m, reservoir_domain_map()) for m in build_fracture_domain(0.2))]
+    for mesh in meshes:
+        owner, local = mesh.bedge_owner()
+        want = _bedge_owner_by_dict(mesh)
+        assert np.array_equal(owner, want[0]) and np.array_equal(local, want[1])
+        assert np.array_equal(mesh.bedge_edge_ids(), want[2])
+        # the owner's local edge is the boundary edge, opposite its local vertex
+        tri = mesh.tris[owner]
+        ends = np.sort(np.stack([tri[np.arange(len(tri)), (local + 1) % 3],
+                                 tri[np.arange(len(tri)), (local + 2) % 3]], axis=1), axis=1)
+        assert np.array_equal(ends, np.sort(mesh.bedges, axis=1))
+
+
+def test_bedge_owner_rejects_bad_boundary_edges():
+    from stokesbiot.mesh import Mesh2D
+
+    tags = {"left": "l", "right": "r", "bottom": "b", "top": "t"}
+    good = build_structured((0, 1, 0, 1), 2, 2, "fluid", tags)
+    for edge, message in (([0, 8], "not a mesh edge"), ([0, 4], "is interior")):
+        mesh = Mesh2D(nodes=good.nodes, tris=good.tris, tri_tags=good.tri_tags,
+                      bedges=np.vstack([good.bedges, edge]),
+                      bedge_tags=np.append(good.bedge_tags, "x"))
+        with pytest.raises(ValueError, match=message):
+            mesh.bedge_owner()

@@ -6,7 +6,7 @@ from stokesbiot.assembly import PhysicalParams
 from stokesbiot.manufactured import example1_solution, verification_params
 from stokesbiot.solver import (DENSE_FALLBACK, REFINE_TOL, ConstrainedOperator, DirichletBC,
                                LUSolver, SingularMatrixError, TransientState, run_transient)
-from stokesbiot.verify import LOW_ORDER, example1_system, run_example1
+from stokesbiot.verify import HIGH_ORDER, LOW_ORDER, example1_system, run_example1
 
 
 # ---------------------------------------------------------------------------
@@ -417,3 +417,145 @@ def test_stability_zero_forcing_random_data():
         energies.append(discrete_energy(system, state))
     diffs = np.diff(energies)
     assert np.all(diffs <= 1e-12 * max(energies))
+
+
+# ---------------------------------------------------------------------------
+# static condensation of cell-interior unknowns
+
+
+def _block_system(rng, cells=30, k=3, n_kept=40):
+    """Random nonsingular matrix whose first ``cells * k`` unknowns couple
+    only within their own cell, unknowns scaled over 1e-2 ... 1e2."""
+    n_I = cells * k
+    n = n_I + n_kept
+    A = rng.standard_normal((n, n)) + 10 * np.eye(n)
+    cell = np.arange(n_I) // k
+    A[:n_I, :n_I] *= cell[:, None] == cell[None, :]
+    d = np.logspace(-2, 2, n)[rng.permutation(n)]
+    return d[:, None] * A * d[None, :], np.arange(n_I).reshape(cells, k)
+
+
+def test_condensed_lu_matches_oracle_on_both_paths():
+    rng = np.random.default_rng(11)
+    A, interior = _block_system(rng)
+    b = rng.standard_normal(len(A))
+    x_star = dense_gauss_oracle(A, b)
+    for threshold, dense in LU_PATHS:
+        lu = LUSolver(sp.csc_matrix(A), dense_threshold=threshold, interior=[interior])
+        assert lu.dense is dense
+        assert np.array_equal(lu.interior, interior.ravel())
+        assert len(lu.kept) == len(A) - interior.size
+        x = lu.solve(b)
+        assert lu.refinements == 0
+        assert np.abs(x - x_star).max() < 1e-10 * np.abs(x_star).max()
+        assert _scaled_residual(lu, A, b, x) <= REFINE_TOL
+
+
+def test_condensation_rejects_coupled_cells():
+    rng = np.random.default_rng(12)
+    A, interior = _block_system(rng)
+    A[4, 7] = 1.0          # unknown 4 is in cell 1, unknown 7 in cell 2
+    with pytest.raises(ValueError, match="interior unknowns 4 and 7 of different cells"):
+        LUSolver(sp.csc_matrix(A), interior=[interior])
+    with pytest.raises(ValueError, match="listed twice"):
+        LUSolver(sp.csc_matrix(A), interior=[interior[:1], interior[:1]])
+
+
+def test_condensation_keeps_singular_cell_blocks():
+    # cell 2's block is singular while the whole matrix is not: its unknowns
+    # stay in the Schur complement and the solve is still exact
+    rng = np.random.default_rng(13)
+    A, interior = _block_system(rng)
+    A[6:9, 6:9] = np.outer([1.0, 2.0, 3.0], [1.0, -1.0, 0.5])
+    b = rng.standard_normal(len(A))
+    lu = LUSolver(sp.csc_matrix(A), interior=[interior])
+    assert not np.isin([6, 7, 8], lu.interior).any()
+    assert len(lu.interior) == interior.size - 3
+    x = lu.solve(b)
+    assert lu.refinements == 0
+    assert _scaled_residual(lu, A, b, x) <= REFINE_TOL
+
+
+def test_condensed_lu_refines_when_full_residual_misses():
+    rng = np.random.default_rng(14)
+    A, interior = _block_system(rng)
+    b = rng.standard_normal(len(A))
+    for threshold, _ in LU_PATHS:
+        lu = LUSolver(sp.csc_matrix(A), dense_threshold=threshold, interior=[interior])
+        # the residual is taken against the full matrix, here 1e-8 away from the factor
+        lu.M = sp.csc_matrix(A * (1 + 1e-8 * rng.standard_normal(A.shape)))
+        assert _scaled_residual(lu, lu.M, b, lu._solve_scaled(b[:, None])[:, 0]) > REFINE_TOL
+        x = lu.solve(b)
+        assert lu.refinements == 1
+        assert _scaled_residual(lu, lu.M, b, x) <= REFINE_TOL
+
+
+def test_constrained_operator_rejects_constrained_interior_dof(slip_problem):
+    M, cons, R, op, rhs, G = slip_problem
+    with pytest.raises(ValueError, match=f"interior dof {cons.fixed[0]} is constrained"):
+        ConstrainedOperator(M, cons, interior=[np.array([[cons.fixed[0]]])])
+
+
+def _compare_condensed_steps(system, state, steps, tol):
+    """Steps of the condensed ``system.op`` against an uncondensed operator,
+    relative to the largest unknown; returns the largest differences of the
+    condensed and the uncondensed solve from a reference solve refined twice."""
+    plain = ConstrainedOperator(system.M, system.constraints)
+    assert len(plain.lu.interior) == 0
+    worst = [0.0, 0.0]
+    for _ in range(steps):
+        t1 = (state.n + 1) * system.tau
+        rhs = system.load(t1) + (system.E @ state.X) / system.tau
+        g = system.constraints.values(t1)
+        x, y = system.op.solve(rhs, g), plain.solve(rhs, g)
+        ref = y
+        for _ in range(2):
+            ref = ref + plain.solve(rhs - system.M @ ref, np.zeros_like(g))
+        scale = np.abs(ref).max()
+        assert np.abs(x - y).max() <= tol * scale
+        worst = [max(w, np.abs(v - ref).max() / scale) for w, v in zip(worst, (x, y))]
+        state = TransientState(X=x, n=state.n + 1, tau=system.tau)
+    assert system.lu.refinements == 0
+    return worst
+
+
+@pytest.mark.parametrize("elements,matching", [(LOW_ORDER, False), (HIGH_ORDER, True)])
+def test_condensed_solve_matches_uncondensed_example1(elements, matching):
+    ms = example1_solution()
+    system = example1_system(8, elements, matching=matching)
+    lu = system.lu
+    fields = ("uf", "up", "pp") if elements is HIGH_ORDER else ("uf", "pp")
+    interior = np.concatenate([system.spaces[n].interior_dofs().ravel() + system.offsets[n]
+                               for n in fields])
+    assert np.array_equal(np.sort(system.op.free[lu.interior]), np.sort(interior))
+    state = system.initial_state(pp0=lambda p: ms.pp(p, 0.0), eta0=lambda p: ms.eta(p, 0.0),
+                                 eta_dot0=lambda p: ms.dt_eta(p, 0.0))
+    condensed, uncondensed = _compare_condensed_steps(system, state, 3, 1e-10)
+    assert condensed <= 1e-10 and uncondensed <= 1e-10
+
+
+def test_condensed_solve_matches_uncondensed_example2():
+    from stokesbiot.scenarios import build_scenario_system, example2_config
+
+    system = build_scenario_system(example2_config(resolution=0.05))
+    assert len(system.lu.kept) < 0.6 * len(system.op.free)
+    state = system.initial_state(pp0=lambda p: np.full(len(p), 1000.0))
+    # the uncondensed solve is off by up to 1.8e-10 of the largest unknown
+    # (p_p) from the refined one; the condensed solve is closer
+    condensed, uncondensed = _compare_condensed_steps(system, state, 5, 3e-10)
+    assert condensed <= 1e-10 and condensed <= uncondensed
+
+
+def test_no_storage_leaves_pore_pressure_uncondensed():
+    # with s0 = 0 the RT1 + P1dc cell block is singular: only the RT1
+    # interior moments are condensed, and the run steps as before
+    ms = example1_solution()
+    params = verification_params().with_overrides(s0=0.0)
+    system = example1_system(4, HIGH_ORDER, params=params)
+    condensed = system.op.free[system.lu.interior]
+    up = system.offsets["up"] + system.spaces["up"].interior_dofs().ravel()
+    assert np.array_equal(np.sort(condensed), np.sort(up))
+    states, diags = run_example1(system, ms, T=0.003, collect_diagnostics=True)
+    assert len(states) == 4
+    assert max(d["constraint_residual"] for d in diags) < 1e-9
+    assert system.lu.refinements == 0

@@ -324,3 +324,33 @@ def test_field_norms_match_einsum(skewed_mesh, family):
     want = _field_norms_oracle(space, coeffs, exact, exact_grad, _norm_rule(space))
     for g, o in zip(got, want):
         _assert_rel_close(g, o)
+
+
+@pytest.mark.parametrize("family,k,columns", [
+    ("VecP1bubble", 2, [6, 7]), ("P1bubble", 1, [3]), ("RT1", 2, [6, 7]),
+    ("P0", 1, [0]), ("P1dc", 3, [0, 1, 2]),
+    ("P1", 0, []), ("P2", 0, []), ("VecP1", 0, []), ("VecP2", 0, []), ("RT0", 0, []),
+])
+def test_interior_dofs(mesh, family, k, columns):
+    space = make_space(mesh, family)
+    interior = space.interior_dofs()
+    assert interior.shape == (mesh.n_tris, k)
+    assert np.array_equal(interior, space.cell_dofs[:, columns])
+    # each interior dof belongs to its own cell only
+    counts = np.bincount(space.cell_dofs.ravel(), minlength=space.n_dofs)
+    assert np.all(counts[interior] == 1)
+
+
+def test_values_only_callers_build_no_gradients(mesh):
+    """Divergence, mass and scalar norms read reference values only: they
+    leave no physical gradients in the space's cache, and the values are
+    those ``tabulate`` returns."""
+    from stokesbiot.assembly import assemble_divergence
+
+    V, W = make_space(mesh, "VecP1bubble"), make_space(mesh, "P1")
+    assemble_divergence(V, W)
+    mass_matrix(W)
+    _field_norms(W, np.ones(W.n_dofs), lambda p, t: np.ones(len(p)), None, 0.0)
+    assert not W._cache
+    rule = triangle_rule(default_quad_degree(V, W))
+    assert np.array_equal(W.ref_values(rule), W.tabulate(rule)[0])
