@@ -168,16 +168,13 @@ class LUSolver:
         self.interior, self.kept = I, np.nonzero(~is_interior)[0]
         rows_I, rows_C = A[I], A[self.kept]
         self._A_IC, self._A_CI = rows_I[:, self.kept], rows_C[:, I]
-        self._blocks, W, start = [], [], 0     # W: A_II^-1 A_IC as (rows, cols, values)
+        self._blocks, W, start = [], [sp.csr_matrix((0, len(self.kept)))], 0
         for b, blocks in kept_groups:
             span = slice(start, start + b.size)
             self._blocks.append((span, blocks))
-            W.append(blocks.solve_sparse(self._A_IC[span], start))
+            W.append(blocks.solve_sparse(self._A_IC[span]))     # rows of A_II^-1 A_IC
             start = span.stop
-        rows, cols, vals = (np.concatenate([w[j] for w in W] or [[]]) for j in range(3))
-        W = sp.csr_matrix((vals, (rows.astype(np.int64), cols.astype(np.int64))),
-                          shape=self._A_IC.shape)
-        return rows_C[:, self.kept] - self._A_CI @ W
+        return rows_C[:, self.kept] - self._A_CI @ sp.vstack(W, format="csr")
 
     def _interior_solve(self, R):
         """``A_II^-1 R`` for (n_I, k) ``R``, cell block by cell block."""
@@ -264,8 +261,8 @@ class _CellBlocks:
         Y = np.matmul(self.Ut, R.reshape(m, k, -1) * self.r[:, :, None]) / self.s[:, :, None]
         return (np.matmul(self.V, Y) * self.c[:, :, None]).reshape(R.shape)
 
-    def solve_sparse(self, Q: sp.csr_matrix, row0: int):
-        """``B^-1 Q`` for the sparse (m k, n) ``Q`` as (rows + row0, cols, values).
+    def solve_sparse(self, Q: sp.csr_matrix) -> sp.csr_matrix:
+        """``B^-1 Q`` for the sparse (m k, n) ``Q``.
 
         The columns a cell's rows of ``Q`` touch are gathered into a dense
         (m, k, p) array, so each block is solved once for all of them.
@@ -279,8 +276,8 @@ class _CellBlocks:
         D = np.zeros((m, k, slot.max(initial=-1) + 1))
         D[Q.row // k, Q.row % k, slot[slot_of]] = Q.data
         X = self.solve(D)[cell, :, slot]                   # (keys, k)
-        rows = row0 + cell[:, None] * k + np.arange(k)
-        return rows.ravel(), np.repeat(col, k), X.ravel()
+        rows = cell[:, None] * k + np.arange(k)
+        return sp.csr_matrix((X.ravel(), (rows.ravel(), np.repeat(col, k))), shape=Q.shape)
 
 
 def _inv_sqrt_max(maxima, kind: str) -> np.ndarray:
