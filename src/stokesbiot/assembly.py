@@ -11,6 +11,7 @@ their signs are applied when the monolithic operator is formed.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -340,23 +341,92 @@ def darcy_pressure_load(V_p: FESpace, tags, p_data) -> np.ndarray:
     return out
 
 
-def assemble_loads(spaces: dict, data: dict, t: float) -> dict:
-    """Per-field load vectors at time ``t``.
+def constant(t: float) -> float:
+    """The time function g = 1 of time-independent data."""
+    return 1.0
 
-    ``data`` may provide callables(points, t): 'ff', 'fp' (vector), 'qf', 'qp'
-    (scalar), and 'darcy_pressure' = (tags, p(points, t)) for the natural
-    Darcy boundary term.  Missing entries contribute zero.
+
+class Separable:
+    """A field ``sum_k g_k(t) f_k(x)``, the one form of load data.
+
+    ``Separable(f)`` is the time-independent field ``f(points)``,
+    ``Separable(f, g)`` the single term ``g(t) f(points)`` and
+    ``Separable({g: f, ...})`` a sum of such terms.  Sums, differences and
+    scalar multiples are again ``Separable``; terms with the same time
+    function (the same object) are merged into one, so that
+    ``assemble_loads`` assembles one vector per distinct ``g``.  Calling it
+    with ``(points, t)`` evaluates the sum.
     """
-    out = {name: np.zeros(space.n_dofs) for name, space in spaces.items()}
-    if data.get("ff") is not None:
-        out["uf"] = load_vector(spaces["uf"], lambda p: data["ff"](p, t))
-    if data.get("fp") is not None:
-        out["eta"] = load_vector(spaces["eta"], lambda p: data["fp"](p, t))
-    if data.get("qf") is not None:
-        out["pf"] = load_vector(spaces["pf"], lambda p: data["qf"](p, t))
-    if data.get("qp") is not None:
-        out["pp"] = load_vector(spaces["pp"], lambda p: data["qp"](p, t))
-    if data.get("darcy_pressure") is not None:
-        tags, pd = data["darcy_pressure"]
-        out["up"] = out["up"] + darcy_pressure_load(spaces["up"], tags, lambda p: pd(p, t))
-    return out
+
+    def __init__(self, f, g=constant):
+        self.terms = f if isinstance(f, dict) else {g: f}
+
+    def __call__(self, points, t):
+        (g, f), *rest = self.terms.items()
+        out = g(t) * f(points)
+        for g, f in rest:
+            out += g(t) * f(points)
+        return out
+
+    def __add__(self, other):
+        if not isinstance(other, Separable):
+            return NotImplemented
+        terms = dict(self.terms)
+        for g, f in other.terms.items():
+            terms[g] = _sum(terms[g], f) if g in terms else f
+        return Separable(terms)
+
+    def __mul__(self, c):
+        if not isinstance(c, numbers.Real):
+            return NotImplemented
+        return Separable({g: _scaled(c, f) for g, f in self.terms.items()})
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return -1.0 * self
+
+    def __sub__(self, other):
+        return self + -other
+
+
+def _sum(f1, f2):
+    return lambda p: f1(p) + f2(p)
+
+
+def _scaled(c, f):
+    return lambda p: c * f(p)
+
+
+LOAD_FIELDS = {"ff": "uf", "fp": "eta", "qf": "pf", "qp": "pp", "darcy_pressure": "up"}
+
+
+def assemble_loads(spaces: dict, data: dict) -> dict:
+    """Load vectors ``{g: L_g}``, one per distinct time function of ``data``.
+
+    ``data`` may hold the ``Separable`` sources 'ff', 'fp' (vector), 'qf'
+    and 'qp' (scalar), and 'darcy_pressure' = (tags, p) with a ``Separable``
+    p for the natural Darcy boundary term.  Each ``L_g`` holds the blocks of
+    ``spaces`` one after the other, in their order, so the load at time t is
+    ``sum(g(t) * L_g)``; missing entries contribute zero.  An unknown key, or
+    an entry not of this form, raises ``ValueError`` naming the key.
+    """
+    sizes = [space.n_dofs for space in spaces.values()]
+    offsets = dict(zip(spaces, np.cumsum([0] + sizes)))
+    loads = {}
+    for key, field in data.items():
+        if key not in LOAD_FIELDS:
+            raise ValueError(f"unknown load data key {key!r}")
+        name = LOAD_FIELDS[key]
+        if name == "up":
+            if not (isinstance(field, tuple) and len(field) == 2):
+                raise ValueError(f"load data {key!r} is not (tags, Separable)")
+            tags, field = field
+        if not isinstance(field, Separable):
+            raise ValueError(f"load data {key!r} is not a Separable field")
+        for g, f in field.terms.items():
+            vec = (darcy_pressure_load(spaces[name], tags, f) if name == "up"
+                   else load_vector(spaces[name], f))
+            L = loads.setdefault(g, np.zeros(sum(sizes)))
+            L[offsets[name]:offsets[name] + len(vec)] += vec
+    return loads

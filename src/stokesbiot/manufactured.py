@@ -6,17 +6,23 @@ viscosity 1, unit isotropic permeability, Biot-Willis coefficient 1 and equal
 Lame coefficients; the Darcy velocity is the exact Darcy flux -K grad(p)/mu
 of the pore pressure.  Body and mass sources follow by substituting into the
 strong equations.
+
+Every field is a fixed spatial field times one of the time functions
+e^t, sin(pi t) and its derivative pi cos(pi t), with
+U = (-3x + cos y, y + 1) and P = sin(pi x) cos(pi y / 2):
+u_f = U d/dt sin(pi t), eta = U sin(pi t), p_p = P e^t and
+p_f = p_p + 2 d/dt sin(pi t).  The fields are ``Separable``, so the sources
+derived from them are too and a load assembles once per time function.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .assembly import PhysicalParams
+from .assembly import PhysicalParams, Separable
 
 PI = math.pi
 
@@ -29,141 +35,80 @@ def verification_params() -> PhysicalParams:
 
 @dataclass
 class ManufacturedSolution:
-    """Field evaluators (points (n,2), t) plus the derivatives source
+    """Exact fields as ``Separable`` sums of spatial fields times time
+    functions, called with (points (n, 2), t), plus the derivatives source
     derivation and error norms need."""
 
-    uf: Callable
-    grad_uf: Callable          # (n, 2, 2), [i, j] = d u_i / d x_j
-    div_uf: Callable
-    laplace_uf: Callable
-    grad_div_uf: Callable
-    pf: Callable
-    grad_pf: Callable
-    up: Callable
-    div_up: Callable
-    pp: Callable
-    grad_pp: Callable
-    dt_pp: Callable
-    eta: Callable
-    grad_eta: Callable
-    div_eta: Callable
-    laplace_eta: Callable
-    grad_div_eta: Callable
-    dt_eta: Callable
-    dt_grad_eta: Callable
-    dt_div_eta: Callable
-    lam: Callable              # interface trace of the pore pressure
+    uf: Separable
+    grad_uf: Separable         # (n, 2, 2), [i, j] = d u_i / d x_j
+    div_uf: Separable
+    laplace_uf: Separable
+    grad_div_uf: Separable
+    pf: Separable
+    grad_pf: Separable
+    up: Separable
+    div_up: Separable
+    pp: Separable
+    grad_pp: Separable
+    dt_pp: Separable
+    eta: Separable
+    grad_eta: Separable
+    laplace_eta: Separable
+    grad_div_eta: Separable
+    dt_eta: Separable
+    dt_div_eta: Separable
+    lam: Separable             # interface trace of the pore pressure
+
+
+def _sin(t):
+    return math.sin(PI * t)
+
+
+def _dt_sin(t):
+    return PI * math.cos(PI * t)
 
 
 def example1_solution() -> ManufacturedSolution:
-    def uf(p, t):
+    def U(p):
         x, y = p[:, 0], p[:, 1]
-        c = PI * math.cos(PI * t)
-        return np.column_stack([c * (-3.0 * x + np.cos(y)), c * (y + 1.0)])
+        return np.column_stack([-3.0 * x + np.cos(y), y + 1.0])
 
-    def grad_uf(p, t):
-        y = p[:, 1]
-        c = PI * math.cos(PI * t)
+    def grad_U(p):
         g = np.zeros((len(p), 2, 2))
-        g[:, 0, 0] = -3.0 * c
-        g[:, 0, 1] = -c * np.sin(y)
-        g[:, 1, 1] = c
+        g[:, 0, 0] = -3.0
+        g[:, 0, 1] = -np.sin(p[:, 1])
+        g[:, 1, 1] = 1.0
         return g
 
-    def div_uf(p, t):
-        return np.full(len(p), -2.0 * PI * math.cos(PI * t))
+    def laplace_U(p):
+        return np.column_stack([-np.cos(p[:, 1]), np.zeros(len(p))])
 
-    def laplace_uf(p, t):
-        y = p[:, 1]
-        c = PI * math.cos(PI * t)
-        return np.column_stack([-c * np.cos(y), np.zeros(len(p))])
-
-    def grad_div_uf(p, t):
-        return np.zeros((len(p), 2))
-
-    def pp(p, t):
+    def P(p):
         x, y = p[:, 0], p[:, 1]
-        return math.exp(t) * np.sin(PI * x) * np.cos(0.5 * PI * y)
+        return np.sin(PI * x) * np.cos(0.5 * PI * y)
 
-    def grad_pp(p, t):
+    def grad_P(p):
         x, y = p[:, 0], p[:, 1]
-        e = math.exp(t)
-        return np.column_stack([
-            PI * e * np.cos(PI * x) * np.cos(0.5 * PI * y),
-            -0.5 * PI * e * np.sin(PI * x) * np.sin(0.5 * PI * y),
-        ])
+        return np.column_stack([PI * np.cos(PI * x) * np.cos(0.5 * PI * y),
+                                -0.5 * PI * np.sin(PI * x) * np.sin(0.5 * PI * y)])
 
-    def dt_pp(p, t):
-        return pp(p, t)
+    def const(c):
+        return lambda p: np.full(len(p), c)
 
-    def pf(p, t):
-        return pp(p, t) + 2.0 * PI * math.cos(PI * t)
-
-    def up(p, t):
-        # exact Darcy flux -K grad(pp) / mu with K = I, mu = 1
-        return -grad_pp(p, t)
-
-    def div_up(p, t):
-        x, y = p[:, 0], p[:, 1]
-        return 1.25 * PI**2 * math.exp(t) * np.sin(PI * x) * np.cos(0.5 * PI * y)
-
-    def eta(p, t):
-        x, y = p[:, 0], p[:, 1]
-        s = math.sin(PI * t)
-        return np.column_stack([s * (-3.0 * x + np.cos(y)), s * (y + 1.0)])
-
-    def grad_eta(p, t):
-        y = p[:, 1]
-        s = math.sin(PI * t)
-        g = np.zeros((len(p), 2, 2))
-        g[:, 0, 0] = -3.0 * s
-        g[:, 0, 1] = -s * np.sin(y)
-        g[:, 1, 1] = s
-        return g
-
-    def div_eta(p, t):
-        return np.full(len(p), -2.0 * math.sin(PI * t))
-
-    def laplace_eta(p, t):
-        y = p[:, 1]
-        s = math.sin(PI * t)
-        return np.column_stack([-s * np.cos(y), np.zeros(len(p))])
-
-    def grad_div_eta(p, t):
-        return np.zeros((len(p), 2))
-
-    def lam(p, t):
-        x = p[:, 0]
-        return math.exp(t) * np.sin(PI * x)
-
+    uf, eta = Separable(U, _dt_sin), Separable(U, _sin)
+    div_uf = Separable(const(-2.0), _dt_sin)
+    pp, grad_pp = Separable(P, math.exp), Separable(grad_P, math.exp)
     return ManufacturedSolution(
-        uf=uf, grad_uf=grad_uf, div_uf=div_uf, laplace_uf=laplace_uf,
-        grad_div_uf=grad_div_uf, pf=pf,
-        grad_pf=grad_pp,          # pf and pp differ by a spatial constant
-        up=up, div_up=div_up, pp=pp, grad_pp=grad_pp, dt_pp=dt_pp,
-        eta=eta, grad_eta=grad_eta, div_eta=div_eta, laplace_eta=laplace_eta,
-        grad_div_eta=grad_div_eta,
-        dt_eta=_dt_eta, dt_grad_eta=_dt_grad_eta, dt_div_eta=_dt_div_eta, lam=lam)
-
-
-def _dt_eta(p, t):
-    x, y = p[:, 0], p[:, 1]
-    c = PI * math.cos(PI * t)
-    return np.column_stack([c * (-3.0 * x + np.cos(y)), c * (y + 1.0)])
-
-
-def _dt_grad_eta(p, t):
-    y = p[:, 1]
-    c = PI * math.cos(PI * t)
-    g = np.zeros((len(p), 2, 2))
-    g[:, 0, 0] = -3.0 * c
-    g[:, 0, 1] = -c * np.sin(y)
-    g[:, 1, 1] = c
-    return g
-
-
-def _dt_div_eta(p, t):
-    return np.full(len(p), -2.0 * PI * math.cos(PI * t))
+        uf=uf, grad_uf=Separable(grad_U, _dt_sin), div_uf=div_uf,
+        laplace_uf=Separable(laplace_U, _dt_sin),
+        grad_div_uf=0.0 * uf,     # div U is constant
+        pf=pp + Separable(const(2.0), _dt_sin),
+        grad_pf=grad_pp,          # pf and pp differ by a spatially constant term
+        up=-grad_pp,              # exact Darcy flux -K grad(pp) / mu with K = I, mu = 1
+        div_up=1.25 * PI**2 * pp, pp=pp, grad_pp=grad_pp, dt_pp=pp,
+        eta=eta, grad_eta=Separable(grad_U, _sin), laplace_eta=Separable(laplace_U, _sin),
+        grad_div_eta=0.0 * eta, dt_eta=uf, dt_div_eta=div_uf,
+        lam=Separable(lambda p: np.sin(PI * p[:, 0]), math.exp))   # pp on y = 0
 
 
 def derive_sources(ms: ManufacturedSolution, params: PhysicalParams):
@@ -173,24 +118,17 @@ def derive_sources(ms: ManufacturedSolution, params: PhysicalParams):
     f_p = -mu_p (lap(eta) + grad(div eta)) - lam_p grad(div eta)
           + alpha grad(pp),
     q_p = s0 dt(pp) + alpha dt(div eta) + div up.
-    Constant Lame / viscosity coefficients are assumed.
+    Constant Lame / viscosity coefficients are assumed.  The fields are
+    combined term by term, so the sources are ``Separable`` in the time
+    functions of the solution.
     """
     mu = params.mu
     mu_p = float(np.asarray(params.mu_p).ravel()[0])
     lam_p = float(np.asarray(params.lam_p).ravel()[0])
     alpha, s0 = params.alpha, params.s0
-
-    def ff(p, t):
-        return ms.grad_pf(p, t) - mu * (ms.laplace_uf(p, t) + ms.grad_div_uf(p, t))
-
-    def qf(p, t):
-        return ms.div_uf(p, t)
-
-    def fp(p, t):
-        return (-mu_p * (ms.laplace_eta(p, t) + ms.grad_div_eta(p, t))
-                - lam_p * ms.grad_div_eta(p, t) + alpha * ms.grad_pp(p, t))
-
-    def qp(p, t):
-        return s0 * ms.dt_pp(p, t) + alpha * ms.dt_div_eta(p, t) + ms.div_up(p, t)
-
+    ff = ms.grad_pf - mu * (ms.laplace_uf + ms.grad_div_uf)
+    qf = ms.div_uf
+    fp = (-mu_p * (ms.laplace_eta + ms.grad_div_eta)
+          - lam_p * ms.grad_div_eta + alpha * ms.grad_pp)
+    qp = s0 * ms.dt_pp + alpha * ms.dt_div_eta + ms.div_up
     return ff, qf, fp, qp

@@ -77,16 +77,20 @@ class Mesh2D:
         return self._edge_data()[1]
 
     def edge_cells(self) -> np.ndarray:
-        """(ne, 2) adjacent cells per edge, -1 when on the boundary."""
+        """(ne, 2) adjacent cells per edge in increasing order, -1 when on the
+        boundary; ``ValueError`` for an edge of three or more cells."""
         if "edge_cells" not in self._cache:
-            ne = len(self.edges)
-            ec = np.full((ne, 2), -1, dtype=np.int64)
-            for c in range(self.n_tris):
-                for e in self.cell_edges[c]:
-                    if ec[e, 0] == -1:
-                        ec[e, 0] = c
-                    else:
-                        ec[e, 1] = c
+            flat = self.cell_edges.ravel()
+            count = np.bincount(flat, minlength=len(self.edges))
+            if count.max(initial=0) > 2:
+                e = int(np.argmax(count))
+                raise ValueError(f"edge {tuple(map(int, self.edges[e]))} borders {count[e]} cells")
+            cells = np.argsort(flat, kind="stable") // 3      # grouped by edge, cells ascending
+            first = np.cumsum(count) - count
+            ec = np.full((len(count), 2), -1, dtype=np.int64)
+            ec[:, 0] = cells[first]
+            two = count == 2
+            ec[two, 1] = cells[first[two] + 1]
             self._cache["edge_cells"] = ec
         return self._cache["edge_cells"]
 
@@ -144,19 +148,19 @@ class Mesh2D:
             bad = int(np.argmin(areas))
             raise ValueError(f"triangle {bad} has non-positive area {areas[bad]:.3e}")
         # every boundary edge is a directed edge of exactly one triangle
-        directed = set()
-        for tri in self.tris:
-            for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-                directed.add((int(a), int(b)))
-        for a, b in self.bedges:
-            if (int(a), int(b)) not in directed:
-                raise ValueError(f"boundary edge ({a},{b}) not oriented with its cell")
+        n = self.n_nodes
+        directed = self.tris[:, [0, 1, 2]] * n + self.tris[:, [1, 2, 0]]
+        oriented = np.isin(self.bedges[:, 0] * n + self.bedges[:, 1], directed)
+        if not oriented.all():
+            a, b = self.bedges[np.argmin(oriented)]
+            raise ValueError(f"boundary edge ({a},{b}) not oriented with its cell")
         # conformity: each edge borders 2 cells or is a boundary edge
-        ecells = self.edge_cells()
-        bset = {tuple(sorted(map(int, e))) for e in self.bedges}
-        for e, (c0, c1) in zip(self.edges, ecells):
-            if c1 == -1 and tuple(map(int, e)) not in bset:
-                raise ValueError(f"edge {tuple(e)} on boundary but untagged")
+        open_edges = self.edges[self.edge_cells()[:, 1] == -1]
+        keys = np.sort(self.bedges, axis=1)
+        tagged = np.isin(open_edges[:, 0] * n + open_edges[:, 1], keys[:, 0] * n + keys[:, 1])
+        if not tagged.all():
+            e = open_edges[np.argmin(tagged)]
+            raise ValueError(f"edge {tuple(e)} on boundary but untagged")
 
 
 # ---------------------------------------------------------------------------

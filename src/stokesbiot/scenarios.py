@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .assembly import PhysicalParams, make_multiplier_space
+from .assembly import PhysicalParams, Separable, make_multiplier_space
 from .config import ConfigError, apply_overrides
 from .interface import common_refinement, project_to_polyline
 from .manufactured import PI
@@ -276,8 +276,7 @@ def build_scenario_system(config: ScenarioConfig) -> CoupledSystem:
         DirichletBC("eta", ("top", "right", "bottom", "left"), normal_only=True),
     ]
     pD = config.boundary_pressure
-    data = {"darcy_pressure": (("bottom", "right", "top"), lambda p, t: np.full(len(p), pD)),
-            "static": True}
+    data = {"darcy_pressure": (("bottom", "right", "top"), Separable(lambda p: np.full(len(p), pD)))}
     return CoupledSystem(spaces, L, pairing, params, config.tau, bcs, data)
 
 

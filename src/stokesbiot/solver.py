@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as dla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -37,10 +36,8 @@ from .interface import InterfacePairing, segment_quadrature
 from .spaces import FESpace, l2_project, nodal_interpolate
 
 FIELDS = ("uf", "up", "eta", "pf", "pp", "lam")
-DENSE_FALLBACK = 2000
 REFINE_TOL = 1e-12                # scaled residual that triggers (and must survive) refinement
-PIVOT_TOL = np.finfo(float).eps   # dense pivot at round-off level of the largest
-INTERIOR_GROWTH_LIMIT = 1.0 / np.sqrt(PIVOT_TOL)   # cells condensed only below this growth bound
+INTERIOR_GROWTH_LIMIT = np.finfo(float).eps ** -0.5   # cells condensed only below this growth bound
 
 
 class SingularMatrixError(RuntimeError):
@@ -60,17 +57,17 @@ class LUSolver:
     otherwise).  Each ``k x k`` cell block is scaled by its own row and
     column maxima and decomposed (SVD), batched over the cells, and the Schur
     complement ``S = A_CC - A_CI A_II^-1 A_IC`` on the other unknowns is
-    factorized: dense LU below ``DENSE_FALLBACK`` unknowns of ``S``, SuperLU
-    (threshold partial pivoting, COLAMD ordering) above.  Elimination in
-    this fixed order has no pivoting across cells, so a cell is condensed
-    only if a bound on the entries it adds to ``S`` (its growth, in units of
-    ``A``) is below ``INTERIOR_GROWTH_LIMIT``: round-off then stays below
-    ``sqrt(eps)``, which one refinement pass repairs.  A singular or nearly
-    singular cell block, or a small pivot with large couplings, leaves that
-    cell's unknowns in ``S``.  ``interior`` and ``kept`` are the condensed
-    and the other unknowns, ``interior_cond`` and ``interior_growth`` the
-    largest condition number (2-norm, scaled) and growth of a condensed
-    block.  Without ``interior`` nothing is condensed and ``S = A``.
+    factorized by SuperLU (threshold partial pivoting, COLAMD ordering).
+    Elimination in this fixed order has no pivoting across cells, so a cell
+    is condensed only if a bound on the entries it adds to ``S`` (its growth,
+    in units of ``A``) is below ``INTERIOR_GROWTH_LIMIT``: round-off then
+    stays below ``sqrt(eps)``, which one refinement pass repairs.  A singular
+    or nearly singular cell block, or a small pivot with large couplings,
+    leaves that cell's unknowns in ``S``.  ``interior`` and ``kept`` are the
+    condensed and the other unknowns, ``interior_cond`` and
+    ``interior_growth`` the largest condition number (2-norm, scaled) and
+    growth of a condensed block.  Without ``interior`` nothing is condensed
+    and ``S = A``.
 
     Each ``solve`` makes one triangular solve of ``S``, recovers the interior
     unknowns cell by cell, and checks the scaled residual of the full
@@ -81,7 +78,9 @@ class LUSolver:
     residual returned so far.
     """
 
-    def __init__(self, M, dense_threshold: int = DENSE_FALLBACK, interior=None):
+    dense = False     # read by the benchmark's trace hook (perfbench/spans.py)
+
+    def __init__(self, M, interior=None):
         M = sp.csc_matrix(M)
         if M.shape[0] != M.shape[1]:
             raise ValueError("matrix must be square")
@@ -96,25 +95,10 @@ class LUSolver:
         A.data = M.data * self.dr[M.indices] * np.repeat(self.dc, np.diff(M.indptr))
         S = self._condense(A.tocsr(), interior or ())
         del A, absM   # not held while factorizing: lowers peak memory
-        self.dense = S.shape[0] < dense_threshold
-        if self.dense:
-            import warnings
-
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")   # singularity detected below
-                lu, piv = dla.lu_factor(S.toarray())
-            diag = np.abs(np.diag(lu))
-            if not np.all(np.isfinite(lu)) or diag.min() <= PIVOT_TOL * diag.max():
-                bad = int(self.kept[np.argmin(diag)])
-                raise SingularMatrixError(
-                    f"singular matrix, pivot {diag.min():.2e} at {bad} "
-                    f"(largest {diag.max():.2e})", pivot=bad)
-            self._fact = (lu, piv)
-        else:
-            try:
-                self._fact = spla.splu(S.tocsc())
-            except RuntimeError as exc:
-                raise SingularMatrixError(str(exc)) from exc
+        try:
+            self._fact = spla.splu(S.tocsc())
+        except RuntimeError as exc:
+            raise SingularMatrixError(str(exc)) from exc
 
     def _condense(self, A, interior) -> sp.csr_matrix:
         """Factorize the interior cell blocks of the equilibrated CSR ``A``
@@ -189,7 +173,7 @@ class LUSolver:
         I, C = self.interior, self.kept
         Z = self._interior_solve(Rs[I])
         Yc = Rs[C] - self._A_CI @ Z
-        Yc = dla.lu_solve(self._fact, Yc) if self.dense else self._fact.solve(Yc)
+        Yc = self._fact.solve(Yc)
         Y = np.empty_like(Rs)
         Y[C] = Yc
         Y[I] = Z - self._interior_solve(self._A_IC @ Yc)
@@ -565,7 +549,7 @@ class CoupledSystem:
         interior = [self.interior_dofs(("uf",)), self.interior_dofs(poro)]
         self.op = ConstrainedOperator(self.M, self.constraints, factorize, interior)
         self.M_ff, self.lu = self.op.A_ff, self.op.lu
-        self._load_cache = {}
+        self._loads = None
 
     def _check_block_dims(self) -> None:
         shapes = {
@@ -600,21 +584,19 @@ class CoupledSystem:
     # -- loads ----------------------------------------------------------------
 
     def load(self, t: float) -> np.ndarray:
-        if self.data.get("static") and self._load_cache:
-            return next(iter(self._load_cache.values()))
-        key = round(t, 14)
-        if key not in self._load_cache:
-            per = assembly.assemble_loads(
-                {n: self.spaces[n] for n in ("uf", "up", "eta", "pf", "pp")}, self.data, t)
-            L = np.zeros(self.n_dofs)
-            for name, vec in per.items():
-                self.view(L, name)[:] = vec
-            if self.data.get("static"):
-                self._load_cache.clear()
-            self._load_cache[key] = L
-            if len(self._load_cache) > 4 and not self.data.get("static"):
-                self._load_cache.pop(next(iter(self._load_cache)))
-        return self._load_cache[key]
+        """The load vector ``sum g(t) L_g`` of the time-separable ``data``.
+
+        The vectors ``L_g``, one per distinct time function, are assembled
+        on the first call, after the factorizations, and combined on every
+        call; constant data (``g = 1``) gives the same vector at every t.
+        """
+        if self._loads is None:
+            spaces = {n: self.spaces[n] for n in FIELDS[:-1]}
+            self._loads = assembly.assemble_loads({**spaces, "lam": self.L}, self.data)
+        L = np.zeros(self.n_dofs)
+        for g, vec in self._loads.items():
+            L += g(t) * vec
+        return L
 
     # -- initial data ----------------------------------------------------------
 

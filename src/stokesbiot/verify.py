@@ -17,7 +17,7 @@ import scipy.linalg as dla
 import scipy.sparse as sp
 
 from . import assembly
-from .assembly import PhysicalParams, make_multiplier_space
+from .assembly import PhysicalParams, Separable, make_multiplier_space
 from .interface import common_refinement
 from .manufactured import ManufacturedSolution, derive_sources, example1_solution, verification_params
 from .mesh import build_structured
@@ -261,7 +261,7 @@ def patch_test(elements: ElementSet, n: int = 4, steps: int = 3) -> dict:
     def eta(p, t):
         return s * p
 
-    data = {"darcy_pressure": (("outer",), lambda p, t: np.full(len(p), c)), "static": True}
+    data = {"darcy_pressure": (("outer",), Separable(lambda p: np.full(len(p), c)))}
     bcs = [DirichletBC("uf", ("wall",), value=uf),
            DirichletBC("eta", ("outer",), value=eta)]
     system = example1_system(n, elements, params=params, data_override=data, bcs_override=bcs)

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 import sympy as sym
 
-from stokesbiot.assembly import (PhysicalParams, assemble_bgamma, assemble_bjs,
+from stokesbiot.assembly import (PhysicalParams, Separable, assemble_bgamma, assemble_bjs,
                                  assemble_darcy_mass, assemble_divergence,
                                  assemble_elasticity, assemble_loads,
-                                 assemble_stokes_viscous, darcy_pressure_load,
+                                 assemble_stokes_viscous, constant, darcy_pressure_load,
                                  make_multiplier_space)
 from stokesbiot.interface import common_refinement, segment_quadrature
 from stokesbiot.mesh import build_structured
@@ -552,20 +552,22 @@ def test_zero_data_zero_loads(flat_setup):
     all_spaces = dict(spaces)
     all_spaces["pf"] = make_space(spaces["uf"].mesh, "P1")
     all_spaces["pp"] = make_space(spaces["up"].mesh, "P0")
-    out = assemble_loads(all_spaces, {}, 0.0)
-    for v in out.values():
-        assert np.all(v == 0)
+    assert assemble_loads(all_spaces, {}) == {}
 
 
 def test_unit_source_gives_cell_areas(poro_mesh8):
     spaces = {"pp": make_space(poro_mesh8, "P0")}
     out = assemble_loads({**spaces, "uf": spaces["pp"], "up": spaces["pp"],
                           "eta": spaces["pp"], "pf": spaces["pp"]},
-                         {"qp": lambda p, t: np.ones(len(p))}, 0.0)
+                         {"qp": Separable(lambda p: np.ones(len(p)))})
     geo_areas = 0.5 * np.abs(np.linalg.det(np.stack([
         poro_mesh8.nodes[poro_mesh8.tris][:, 1] - poro_mesh8.nodes[poro_mesh8.tris][:, 0],
         poro_mesh8.nodes[poro_mesh8.tris][:, 2] - poro_mesh8.nodes[poro_mesh8.tris][:, 0]], axis=1)))
-    assert np.allclose(out["pp"], geo_areas, atol=1e-14)
+    (g, L), = out.items()
+    m = poro_mesh8.n_tris
+    assert g is constant and len(L) == 5 * m
+    assert np.allclose(L[:m], geo_areas, atol=1e-14)      # "pp" is the first block
+    assert np.all(L[m:] == 0.0)
 
 
 def test_darcy_pressure_load_constant(poro_mesh8):
@@ -578,6 +580,91 @@ def test_darcy_pressure_load_constant(poro_mesh8):
     assert np.allclose(np.abs(load[eids]), 1000.0, atol=1e-10)
     others = np.setdiff1d(np.arange(V.n_dofs), eids)
     assert np.abs(load[others]).max() == 0.0
+
+
+def test_separable_arithmetic():
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(size=(7, 2))
+    f1, f2, f3 = (lambda p: np.sin(p[:, 0]), lambda p: p[:, 1] ** 2, lambda p: np.exp(p[:, 0]))
+    a = Separable(f1, np.cos) + Separable(f2)          # g = cos t and g = 1
+    b = 2.5 * Separable(f3, np.cos) - Separable(f2)
+    c = a + b
+    # merged: one term per time function, and the g = 1 terms cancel
+    assert set(c.terms) == {np.cos, constant}
+    assert np.all(c.terms[constant](pts) == 0.0)
+    for t in (0.0, 0.3, 2.0):
+        want = np.cos(t) * (f1(pts) + 2.5 * f3(pts))
+        assert np.allclose(c(pts, t), want, rtol=1e-15, atol=1e-15)
+        assert np.allclose((-a * 3)(pts, t), -3.0 * (np.cos(t) * f1(pts) + f2(pts)), rtol=1e-15)
+    # one constant term is evaluated exactly
+    assert np.array_equal(Separable(f2)(pts, 7.0), f2(pts))
+
+
+def test_assemble_loads_rejects_bad_data(poro_mesh8):
+    V = make_space(poro_mesh8, "P0")
+    spaces = {name: V for name in ("uf", "up", "eta", "pf", "pp")}
+    one = Separable(lambda p: np.ones(len(p)))
+    bad = {"static": True, "qP": one, "qp": lambda p, t: np.ones(len(p)),
+           "darcy_pressure": one}
+    for key, value in bad.items():
+        with pytest.raises(ValueError, match=repr(key)):
+            assemble_loads(spaces, {"qf": one, key: value})
+
+
+def _closure_load(system, t):
+    """The Example 1 load at ``t`` from closures that evaluate every source,
+    with ``t`` folded in, at the quadrature points: an oracle independent of
+    ``Separable`` and ``manufactured``."""
+    from stokesbiot.spaces import load_vector
+
+    params = system.params
+    c, s, e = np.pi * np.cos(np.pi * t), np.sin(np.pi * t), np.exp(t)
+
+    def pp(p):
+        return e * np.sin(np.pi * p[:, 0]) * np.cos(0.5 * np.pi * p[:, 1])
+
+    def grad_pp(p):
+        x, y = p[:, 0], p[:, 1]
+        return e * np.column_stack([np.pi * np.cos(np.pi * x) * np.cos(0.5 * np.pi * y),
+                                    -0.5 * np.pi * np.sin(np.pi * x) * np.sin(0.5 * np.pi * y)])
+
+    def laplace_u(p, k):
+        return np.column_stack([-k * np.cos(p[:, 1]), np.zeros(len(p))])
+
+    sources = {
+        "uf": lambda p: grad_pp(p) - params.mu * laplace_u(p, c),
+        "pf": lambda p: np.full(len(p), -2.0 * c),
+        "eta": lambda p: -params.mu_p * laplace_u(p, s) + params.alpha * grad_pp(p),
+        "pp": lambda p: params.s0 * pp(p) - 2.0 * params.alpha * c + 1.25 * np.pi**2 * pp(p),
+    }
+    L = np.zeros(system.n_dofs)
+    for name, f in sources.items():
+        system.view(L, name)[:] = load_vector(system.spaces[name], f)
+    system.view(L, "up")[:] = darcy_pressure_load(system.spaces["up"], ("outer",), pp)
+    return L
+
+
+@pytest.mark.parametrize("elements,matching", [("LOW_ORDER", False), ("HIGH_ORDER", True)])
+def test_load_matches_closure_assembly(elements, matching):
+    from stokesbiot import verify
+
+    system = verify.example1_system(4, getattr(verify, elements), matching=matching,
+                                    factorize=False)
+    for t in (0.0, 3.7e-4, 1e-2, 0.5):
+        want = _closure_load(system, t)
+        assert np.abs(system.load(t) - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_constant_load_identical_at_every_time():
+    from stokesbiot.verify import LOW_ORDER, example1_system
+
+    data = {"darcy_pressure": (("outer",), Separable(lambda p: np.full(len(p), 1000.0))),
+            "qp": Separable(lambda p: np.sin(p[:, 0]))}
+    system = example1_system(4, LOW_ORDER, data_override=data, factorize=False)
+    L0 = system.load(0.0)
+    assert np.abs(system.view(L0, "up")).max() > 0 and np.abs(system.view(L0, "pp")).max() > 0
+    for t in (3.7e-4, 1e-2, 0.5, 123.0):
+        assert np.array_equal(system.load(t), L0)
 
 
 def test_assembly_deterministic(flat_setup):

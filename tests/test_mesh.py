@@ -199,6 +199,17 @@ def test_read_nonfinite_coordinate(tmp_path):
     assert err.value.line == 4
 
 
+def test_read_edge_of_three_cells(tmp_path):
+    # edge (0, 1) borders all three triangles; each area is positive and
+    # every other edge is a tagged boundary edge
+    path = tmp_path / "fan.mesh"
+    path.write_text("mesh2d 1\n5 3 6\n0 0\n1 0\n0 1\n0 -1\n0.5 1\n"
+                    "0 1 2 poro\n1 0 3 poro\n0 1 4 poro\n"
+                    "1 2 b\n2 0 b\n0 3 b\n3 1 b\n1 4 b\n4 0 b\n")
+    with pytest.raises(ValueError, match=r"edge \(0, 1\) borders 3 cells"):
+        read_mesh(path)
+
+
 def _bedge_owner_by_dict(mesh):
     """The per-edge dictionary lookup that ``bedge_owner`` used to make."""
     lookup = {tuple(e): i for i, e in enumerate(mesh.edges)}

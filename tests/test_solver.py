@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from stokesbiot.assembly import PhysicalParams
+from stokesbiot.assembly import PhysicalParams, Separable
 from stokesbiot.manufactured import example1_solution, verification_params
-from stokesbiot.solver import (DENSE_FALLBACK, REFINE_TOL, ConstrainedOperator, DirichletBC,
-                               LUSolver, SingularMatrixError, TransientState, run_transient)
+from stokesbiot.solver import (REFINE_TOL, ConstrainedOperator, DirichletBC, LUSolver,
+                               SingularMatrixError, TransientState, run_transient)
 from stokesbiot.verify import HIGH_ORDER, LOW_ORDER, example1_system, run_example1
 
 
@@ -35,18 +35,12 @@ def dense_gauss_oracle(A, b):
     return x
 
 
-# dense_threshold 0 forces SuperLU; the default sends these small matrices
-# to dense LAPACK
-LU_PATHS = ((0, False), (DENSE_FALLBACK, True))
-
-
 def test_lu_identity():
     I = sp.identity(40, format="csc")
     b = np.arange(40.0)
-    for threshold, dense in LU_PATHS:
-        lu = LUSolver(I, dense_threshold=threshold)
-        assert lu.dense is dense
-        assert np.allclose(lu.solve(b), b, atol=1e-15)
+    lu = LUSolver(I)
+    assert lu.dense is False
+    assert np.allclose(lu.solve(b), b, atol=1e-15)
 
 
 def test_lu_matches_dense_elimination_oracle():
@@ -54,21 +48,18 @@ def test_lu_matches_dense_elimination_oracle():
     A = rng.standard_normal((50, 50)) + 10 * np.eye(50)
     b = rng.standard_normal(50)
     x_star = dense_gauss_oracle(A, b)
-    for threshold, dense in LU_PATHS:
-        lu = LUSolver(sp.csc_matrix(A), dense_threshold=threshold)
-        assert lu.dense is dense
-        x = lu.solve(b)
-        assert np.linalg.norm(x - x_star) < 1e-10
-        assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) < 1e-12
+    lu = LUSolver(sp.csc_matrix(A))
+    x = lu.solve(b)
+    assert np.linalg.norm(x - x_star) < 1e-10
+    assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) < 1e-12
 
 
 def test_lu_large_path_residual():
     rng = np.random.default_rng(1)
-    n = DENSE_FALLBACK + 500
+    n = 2500
     A = sp.diags([np.full(n - 1, -1.0), np.full(n, 4.0), np.full(n - 1, -1.0)], [-1, 0, 1]).tocsc()
     b = rng.standard_normal(n)
     lu = LUSolver(A)
-    assert not lu.dense
     x = lu.solve(b)
     assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) < 1e-12
 
@@ -76,30 +67,27 @@ def test_lu_large_path_residual():
 def test_lu_zero_row_singular():
     A = np.eye(10)
     A[4] = 0.0
-    for threshold, _ in LU_PATHS:
-        with pytest.raises(SingularMatrixError):
-            LUSolver(sp.csc_matrix(A), dense_threshold=threshold)
+    with pytest.raises(SingularMatrixError):
+        LUSolver(sp.csc_matrix(A))
 
 
 def test_lu_zero_row_or_column_names_index():
     for axis, kind in ((0, "row"), (1, "column")):
         A = np.eye(10) + np.eye(10, k=1)
         A[(slice(None),) * axis + (6,)] = 0.0
-        for threshold, _ in LU_PATHS:
-            with pytest.raises(SingularMatrixError, match=f"zero {kind} 6") as err:
-                LUSolver(sp.csc_matrix(A), dense_threshold=threshold)
-            assert err.value.pivot == 6
+        with pytest.raises(SingularMatrixError, match=f"zero {kind} 6") as err:
+            LUSolver(sp.csc_matrix(A))
+        assert err.value.pivot == 6
 
 
 def test_lu_rank_deficient_raises():
-    # row 9 is a combination of rows 0 and 1: the dense path used to return
-    # |x| ~ 8e15 and SuperLU a wrong answer, both without complaint
+    # row 9 is a combination of rows 0 and 1: SuperLU used to return a wrong
+    # answer without complaint
     rng = np.random.default_rng(0)
     A = rng.standard_normal((10, 10))
     A[9] = 0.1 * A[0] + 0.7 * A[1]
-    for threshold, _ in LU_PATHS:
-        with pytest.raises(SingularMatrixError):
-            LUSolver(sp.csc_matrix(A), dense_threshold=threshold).solve(np.ones(10))
+    with pytest.raises(SingularMatrixError):
+        LUSolver(sp.csc_matrix(A)).solve(np.ones(10))
 
 
 def _row_scaled_system(rng, n=40):
@@ -118,34 +106,31 @@ def test_lu_badly_scaled_rows_need_no_refinement():
     rng = np.random.default_rng(4)
     A, b = _row_scaled_system(rng)
     x_star = dense_gauss_oracle(A, b)
-    for threshold, dense in LU_PATHS:
-        lu = LUSolver(sp.csc_matrix(A), dense_threshold=threshold)
-        assert lu.dense is dense
-        x = lu.solve(b)
-        assert lu.refinements == 0
-        assert np.abs(x - x_star).max() < 1e-12 * np.abs(x_star).max()
-        assert _scaled_residual(lu, A, b, x) <= REFINE_TOL
-        assert lu.max_residual == pytest.approx(_scaled_residual(lu, A, b, x))
+    lu = LUSolver(sp.csc_matrix(A))
+    x = lu.solve(b)
+    assert lu.refinements == 0
+    assert np.abs(x - x_star).max() < 1e-12 * np.abs(x_star).max()
+    assert _scaled_residual(lu, A, b, x) <= REFINE_TOL
+    assert lu.max_residual == pytest.approx(_scaled_residual(lu, A, b, x))
 
 
 def test_lu_refines_once_when_residual_misses_tolerance():
     rng = np.random.default_rng(5)
     A, b = _row_scaled_system(rng)
-    for threshold, _ in LU_PATHS:
-        lu = LUSolver(sp.csc_matrix(A), dense_threshold=threshold)
-        # the residual is now taken against a matrix 1e-8 away from the factor
-        lu.M = sp.csc_matrix(A * (1 + 1e-8 * rng.standard_normal(A.shape)))
-        assert _scaled_residual(lu, lu.M, b, lu._solve_scaled(b)) > REFINE_TOL
-        x = lu.solve(b)
-        assert lu.refinements == 1
-        assert _scaled_residual(lu, lu.M, b, x) <= REFINE_TOL
+    lu = LUSolver(sp.csc_matrix(A))
+    # the residual is now taken against a matrix 1e-8 away from the factor
+    lu.M = sp.csc_matrix(A * (1 + 1e-8 * rng.standard_normal(A.shape)))
+    assert _scaled_residual(lu, lu.M, b, lu._solve_scaled(b)) > REFINE_TOL
+    x = lu.solve(b)
+    assert lu.refinements == 1
+    assert _scaled_residual(lu, lu.M, b, x) <= REFINE_TOL
 
 
 def test_lu_refinement_is_per_column():
     rng = np.random.default_rng(6)
     A, b = _row_scaled_system(rng)
     B = np.column_stack([b, np.zeros_like(b), 2 * b])
-    lu = LUSolver(sp.csc_matrix(A), dense_threshold=0)
+    lu = LUSolver(sp.csc_matrix(A))
     lu.M = sp.csc_matrix(A * (1 + 1e-8 * rng.standard_normal(A.shape)))
     X = lu.solve(B)
     assert lu.refinements == 1
@@ -394,7 +379,7 @@ def test_stability_zero_forcing_random_data():
 
     params = verification_params()
     zero = lambda p, t: np.zeros((len(p), 2))
-    data = {"darcy_pressure": (("outer",), lambda p, t: np.zeros(len(p))), "static": True}
+    data = {"darcy_pressure": (("outer",), Separable(lambda p: np.zeros(len(p))))}
     from stokesbiot.solver import DirichletBC
 
     bcs = [DirichletBC("uf", ("wall",), value=zero),
@@ -440,15 +425,13 @@ def test_condensed_lu_matches_oracle_on_both_paths():
     A, interior = _block_system(rng)
     b = rng.standard_normal(len(A))
     x_star = dense_gauss_oracle(A, b)
-    for threshold, dense in LU_PATHS:
-        lu = LUSolver(sp.csc_matrix(A), dense_threshold=threshold, interior=[interior])
-        assert lu.dense is dense
-        assert np.array_equal(lu.interior, interior.ravel())
-        assert len(lu.kept) == len(A) - interior.size
-        x = lu.solve(b)
-        assert lu.refinements == 0
-        assert np.abs(x - x_star).max() < 1e-10 * np.abs(x_star).max()
-        assert _scaled_residual(lu, A, b, x) <= REFINE_TOL
+    lu = LUSolver(sp.csc_matrix(A), interior=[interior])
+    assert np.array_equal(lu.interior, interior.ravel())
+    assert len(lu.kept) == len(A) - interior.size
+    x = lu.solve(b)
+    assert lu.refinements == 0
+    assert np.abs(x - x_star).max() < 1e-10 * np.abs(x_star).max()
+    assert _scaled_residual(lu, A, b, x) <= REFINE_TOL
 
 
 def test_condensation_rejects_coupled_cells():
@@ -480,14 +463,13 @@ def test_condensed_lu_refines_when_full_residual_misses():
     rng = np.random.default_rng(14)
     A, interior = _block_system(rng)
     b = rng.standard_normal(len(A))
-    for threshold, _ in LU_PATHS:
-        lu = LUSolver(sp.csc_matrix(A), dense_threshold=threshold, interior=[interior])
-        # the residual is taken against the full matrix, here 1e-8 away from the factor
-        lu.M = sp.csc_matrix(A * (1 + 1e-8 * rng.standard_normal(A.shape)))
-        assert _scaled_residual(lu, lu.M, b, lu._solve_scaled(b[:, None])[:, 0]) > REFINE_TOL
-        x = lu.solve(b)
-        assert lu.refinements == 1
-        assert _scaled_residual(lu, lu.M, b, x) <= REFINE_TOL
+    lu = LUSolver(sp.csc_matrix(A), interior=[interior])
+    # the residual is taken against the full matrix, here 1e-8 away from the factor
+    lu.M = sp.csc_matrix(A * (1 + 1e-8 * rng.standard_normal(A.shape)))
+    assert _scaled_residual(lu, lu.M, b, lu._solve_scaled(b[:, None])[:, 0]) > REFINE_TOL
+    x = lu.solve(b)
+    assert lu.refinements == 1
+    assert _scaled_residual(lu, lu.M, b, x) <= REFINE_TOL
 
 
 def test_constrained_operator_rejects_constrained_interior_dof(slip_problem):
