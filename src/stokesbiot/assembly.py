@@ -401,6 +401,28 @@ def _scaled(c, f):
 LOAD_FIELDS = {"ff": "uf", "fp": "eta", "qf": "pf", "qp": "pp", "darcy_pressure": "up"}
 
 
+def check_load_data(data: dict) -> list:
+    """``(field name, tags, Separable)`` per entry of load ``data``, in order.
+
+    ``tags`` is None except for 'darcy_pressure'.  An unknown key, or an
+    entry not of the form ``assemble_loads`` takes, raises ``ValueError``
+    naming the key.
+    """
+    entries = []
+    for key, field in data.items():
+        if key not in LOAD_FIELDS:
+            raise ValueError(f"unknown load data key {key!r}")
+        name, tags = LOAD_FIELDS[key], None
+        if name == "up":
+            if not (isinstance(field, tuple) and len(field) == 2):
+                raise ValueError(f"load data {key!r} is not (tags, Separable)")
+            tags, field = field
+        if not isinstance(field, Separable):
+            raise ValueError(f"load data {key!r} is not a Separable field")
+        entries.append((name, tags, field))
+    return entries
+
+
 def assemble_loads(spaces: dict, data: dict) -> dict:
     """Load vectors ``{g: L_g}``, one per distinct time function of ``data``.
 
@@ -408,22 +430,13 @@ def assemble_loads(spaces: dict, data: dict) -> dict:
     and 'qp' (scalar), and 'darcy_pressure' = (tags, p) with a ``Separable``
     p for the natural Darcy boundary term.  Each ``L_g`` holds the blocks of
     ``spaces`` one after the other, in their order, so the load at time t is
-    ``sum(g(t) * L_g)``; missing entries contribute zero.  An unknown key, or
-    an entry not of this form, raises ``ValueError`` naming the key.
+    ``sum(g(t) * L_g)``; missing entries contribute zero.  ``data`` is
+    checked by ``check_load_data``.
     """
     sizes = [space.n_dofs for space in spaces.values()]
     offsets = dict(zip(spaces, np.cumsum([0] + sizes)))
     loads = {}
-    for key, field in data.items():
-        if key not in LOAD_FIELDS:
-            raise ValueError(f"unknown load data key {key!r}")
-        name = LOAD_FIELDS[key]
-        if name == "up":
-            if not (isinstance(field, tuple) and len(field) == 2):
-                raise ValueError(f"load data {key!r} is not (tags, Separable)")
-            tags, field = field
-        if not isinstance(field, Separable):
-            raise ValueError(f"load data {key!r} is not a Separable field")
+    for name, tags, field in check_load_data(data):
         for g, f in field.terms.items():
             vec = (darcy_pressure_load(spaces[name], tags, f) if name == "up"
                    else load_vector(spaces[name], f))

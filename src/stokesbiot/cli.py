@@ -1,7 +1,7 @@
 """Command line front end.
 
 Subcommands:
-  converge   manufactured-solution refinement study (CSV table)
+  converge   manufactured-solution refinement study (CSV table, manifest)
   run        reservoir scenarios (example2 | example3 | sensitivity[:X])
   mesh       generate and write meshes
   diag       numerical diagnostics (inf-sup constant, energy identity)
@@ -95,9 +95,12 @@ def _cmd_converge(args) -> int:
     path = os.path.join(args.out, name + ".csv")
     with open(path, "w") as f:
         f.write(csv)
+    rows = [{"h": r.h, "dof_counts": r.dof_counts, "rel_errors": r.rel_errors,
+             "abs_errors": r.abs_errors} for r in table.rows]
+    rates = {k: [r if math.isfinite(r) else None for r in v] for k, v in table.rates().items()}
     write_manifest(os.path.join(args.out, name + "_manifest.json"), {
         "command": "converge", "elements": args.elements, "levels": args.levels,
-        "matching": matching, "n0": args.n0, "csv": path,
+        "matching": matching, "n0": args.n0, "csv": path, "rows": rows, "rates": rates,
     })
     print(csv, end="")
     print(f"wrote {path}")

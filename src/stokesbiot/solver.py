@@ -498,6 +498,7 @@ class CoupledSystem:
         self.tau = tau
         self.bcs = bcs
         self.data = dict(data or {})
+        assembly.check_load_data(self.data)
 
         self.sizes = {name: spaces[name].n_dofs for name in ("uf", "up", "eta", "pf", "pp")}
         self.sizes["lam"] = L.n_dofs
@@ -589,6 +590,7 @@ class CoupledSystem:
         The vectors ``L_g``, one per distinct time function, are assembled
         on the first call, after the factorizations, and combined on every
         call; constant data (``g = 1``) gives the same vector at every t.
+        ``data`` itself is checked on construction, before any assembly.
         """
         if self._loads is None:
             spaces = {n: self.spaces[n] for n in FIELDS[:-1]}

@@ -5,6 +5,11 @@ and linf(0,T;X) = max_{0<=n<=N} |.|_X; reported errors are relative to the
 same norm of the exact solution.  The five tabulated quantities are the
 fluid velocity in l2(H1), both pressures in l2(L2) / linf(L2), the Darcy
 velocity in l2(L2) and the displacement in linf(H1).
+
+The norms are computed per field with all states batched: the cells are
+walked in fixed chunks, and each spatial term of the ``Separable`` exact
+field is evaluated once per norm-rule point, that is once per level, and
+combined with its time function's values at every state.
 """
 
 from __future__ import annotations
@@ -26,7 +31,16 @@ from .solver import (ConstrainedOperator, CoupledSystem, DirichletBC, FluxBC, Tr
                      build_constraints, run_transient)
 from .spaces import FESpace, make_space
 
-NORM_KEYS = ("uf_l2H1", "pf_l2L2", "up_l2L2", "pp_linfL2", "eta_linfH1")
+# norm key: (field, its exact gradient for the H1 seminorm or None, time norm)
+NORM_FIELDS = {
+    "uf_l2H1": ("uf", "grad_uf", "l2"),
+    "pf_l2L2": ("pf", None, "l2"),
+    "up_l2L2": ("up", None, "l2"),
+    "pp_linfL2": ("pp", None, "linf"),
+    "eta_linfH1": ("eta", "grad_eta", "linf"),
+}
+NORM_KEYS = tuple(NORM_FIELDS)
+NORM_CHUNK = 256     # cells per block of the error-norm loop
 
 
 @dataclass(frozen=True)
@@ -133,75 +147,86 @@ def _norm_rule(space: FESpace):
     return triangle_rule(min(2 * space.degree + 5, 14))
 
 
-def _field_norms(space: FESpace, coeffs: np.ndarray, exact, exact_grad, t: float):
-    """Squared L2 / H1-seminorm of (u_h - u) and of u over the space's mesh."""
+def _field_norms(space: FESpace, coeffs: np.ndarray, times, exact: Separable,
+                 exact_grad: Separable | None = None) -> np.ndarray:
+    """Squared norms of (u_h - u) and of u for all states of one field.
+
+    ``coeffs`` holds one state per column, (n_dofs, S), at ``times`` (S,).
+    Returns the rows ||u_h - u||^2, |u_h - u|_1^2, ||u||^2 and |u|_1^2,
+    each (S,); the seminorm rows are zero without ``exact_grad``.  The
+    cells are walked in chunks of ``NORM_CHUNK``.
+    """
     rule = _norm_rule(space)
     pts, w = space.geometry.quadrature(rule)
-    flat = pts.reshape(-1, 2)
-    c = coeffs[space.cell_dofs]
+    S = coeffs.shape[1]
+    G = np.array([[g(t) for t in times] for g in exact.terms])
     if space.rt_order is not None:
-        vals, _ = space.tabulate(rule)
-        uh = np.matmul(c[:, None, :], vals.reshape(c.shape + (-1,))).reshape(pts.shape)
-        ue = np.asarray(exact(flat, t)).reshape(pts.shape)
-        return _weighted_sum((uh - ue) ** 2, w), 0.0, _weighted_sum(ue**2, w), 0.0
-    vals = space.ref_values(rule)
-    if space.vector:
-        c3 = c.reshape(c.shape[0], -1, 2)
-        uh = vals.T @ c3
-        ue = np.asarray(exact(flat, t)).reshape(pts.shape)
-        err2, ex2 = _weighted_sum((uh - ue) ** 2, w), _weighted_sum(ue**2, w)
-        if exact_grad is None:
-            return err2, 0.0, ex2, 0.0
-        _, grads = space.tabulate(rule)
-        gh = np.einsum("miqa,mid->mqda", grads, c3, optimize=True)
-        ge = np.asarray(exact_grad(flat, t)).reshape(gh.shape)
-        return err2, _weighted_sum((gh - ge) ** 2, w), ex2, _weighted_sum(ge**2, w)
-    ph = c @ vals
-    pe = np.asarray(exact(flat, t)).reshape(w.shape)
-    return _weighted_sum((ph - pe) ** 2, w), 0.0, _weighted_sum(pe**2, w), 0.0
+        basis, _ = space.tabulate(rule)            # (m, n_loc, q, 2)
+    else:
+        basis = space.ref_values(rule).T           # (q, n_s)
+    if exact_grad is not None:
+        _, grads = space.tabulate(rule)            # (m, n_s, q, 2)
+        G_grad = np.array([[g(t) for t in times] for g in exact_grad.terms])
+    out = np.zeros((4, S))
+    for a in range(0, len(w), NORM_CHUNK):
+        cells = slice(a, a + NORM_CHUNK)
+        c = coeffs[space.cell_dofs[cells]]         # (mc, n_loc, S)
+        mc = len(c)
+        flat, wc = pts[cells].reshape(-1, 2), w[cells].ravel()
+        if space.rt_order is not None:
+            uh = np.matmul(np.swapaxes(basis[cells].reshape(mc, c.shape[1], -1), 1, 2), c)
+        else:
+            if space.vector:
+                c = c.reshape(mc, -1, 2 * S)       # interleaved (x, y) per state
+            uh = basis @ c
+        out[0::2] += _chunk_norms(uh, exact, G, flat, wc)
+        if exact_grad is not None:
+            # gh[m, q, a, d] = sum_i grads[m, i, q, a] c[m, i, d]
+            gh = np.matmul(np.swapaxes(grads[cells].reshape(mc, c.shape[1], -1), 1, 2), c)
+            out[1::2] += _chunk_norms(gh, exact_grad, G_grad, flat, wc, transpose=True)
+    return out
 
 
-def _weighted_sum(values: np.ndarray, w: np.ndarray) -> float:
-    """sum over cells m and points q of w[m, q] * values[m, q, ...]."""
-    return np.vdot(w, values.reshape(w.shape + (-1,)).sum(axis=-1))
+def _chunk_norms(uh: np.ndarray, exact: Separable, G: np.ndarray, points: np.ndarray,
+                 w: np.ndarray, transpose: bool = False):
+    """Weighted squares of (u_h - u) and of u summed over one chunk, per state.
+
+    ``uh`` holds the discrete values at ``points`` with the state last, and
+    ``G`` the time factors (K, S) of the K terms of ``exact``.  With
+    ``transpose`` the exact values are (n, 2, 2) gradients [i, j] =
+    d u_i / d x_j, matched to ``uh``'s (n, j, i) layout.
+    """
+    n, S = len(points), G.shape[1]
+    F = np.stack([np.asarray(f(points), dtype=float) for f in exact.terms.values()], axis=-1)
+    if transpose:
+        F = np.swapaxes(F, 1, 2)
+    ue = (F.reshape(-1, len(G)) @ G).reshape(n, -1)         # (n, k * S)
+    ex = w @ (ue * ue)
+    d = np.subtract(uh.reshape(ue.shape), ue, out=ue)
+    err = w @ np.square(d, out=d)
+    return err.reshape(-1, S).sum(axis=0), ex.reshape(-1, S).sum(axis=0)
 
 
 def error_norms(states: list, ms: ManufacturedSolution, system: CoupledSystem) -> ErrorReport:
-    """Discrete-in-time relative errors of a full per-step state history."""
+    """Discrete-in-time relative errors of a full per-step state history.
+
+    The norms are computed field by field with all states batched; each
+    exact field must be ``Separable``.
+    """
+    for name, grad, _ in NORM_FIELDS.values():
+        for n in (name, grad):
+            if n is not None and not isinstance(getattr(ms, n), Separable):
+                raise ValueError(f"exact field {n!r} is not a Separable field")
     tau = system.tau
-    sq = {k: {"err": [], "ex": []} for k in NORM_KEYS}
-    for state in states:
-        t = state.t
-        e2, s2, x2, sx2 = _field_norms(system.spaces["uf"], system.view(state.X, "uf"),
-                                       ms.uf, ms.grad_uf, t)
-        sq["uf_l2H1"]["err"].append(e2 + s2)
-        sq["uf_l2H1"]["ex"].append(x2 + sx2)
-        e2, _, x2, _ = _field_norms(system.spaces["pf"], system.view(state.X, "pf"), ms.pf, None, t)
-        sq["pf_l2L2"]["err"].append(e2)
-        sq["pf_l2L2"]["ex"].append(x2)
-        e2, _, x2, _ = _field_norms(system.spaces["up"], system.view(state.X, "up"), ms.up, None, t)
-        sq["up_l2L2"]["err"].append(e2)
-        sq["up_l2L2"]["ex"].append(x2)
-        e2, _, x2, _ = _field_norms(system.spaces["pp"], system.view(state.X, "pp"), ms.pp, None, t)
-        sq["pp_linfL2"]["err"].append(e2)
-        sq["pp_linfL2"]["ex"].append(x2)
-        e2, s2, x2, sx2 = _field_norms(system.spaces["eta"], system.view(state.X, "eta"),
-                                       ms.eta, ms.grad_eta, t)
-        sq["eta_linfH1"]["err"].append(e2 + s2)
-        sq["eta_linfH1"]["ex"].append(x2 + sx2)
-
-    def l2t(seq):
-        return math.sqrt(tau * sum(seq[1:]))
-
-    def linft(seq):
-        return math.sqrt(max(seq))
-
-    combine = {"uf_l2H1": l2t, "pf_l2L2": l2t, "up_l2L2": l2t,
-               "pp_linfL2": linft, "eta_linfH1": linft}
+    times = [state.t for state in states]
+    combine = {"l2": lambda seq: math.sqrt(tau * seq[1:].sum()),
+               "linf": lambda seq: math.sqrt(seq.max())}
     abs_errors, rel_errors, flags = {}, {}, {}
-    for k in NORM_KEYS:
-        num = combine[k](sq[k]["err"])
-        den = combine[k](sq[k]["ex"])
+    for k, (name, grad, time_norm) in NORM_FIELDS.items():
+        coeffs = np.column_stack([system.view(state.X, name) for state in states])
+        e2, s2, x2, sx2 = _field_norms(system.spaces[name], coeffs, times, getattr(ms, name),
+                                       None if grad is None else getattr(ms, grad))
+        num, den = combine[time_norm](e2 + s2), combine[time_norm](x2 + sx2)
         abs_errors[k] = num
         if den > 1e-300:
             rel_errors[k] = num / den

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 from stokesbiot.cli import cli
 from stokesbiot.config import ConfigError, parse_config, parse_set_pairs
 from stokesbiot.mesh import Mesh2D, build_structured, read_mesh
+from stokesbiot.verify import NORM_KEYS
 from stokesbiot.vtkio import CSV_HEADER, convergence_csv, read_vtk_points, write_vtk
 
 TAGS = {"left": "left", "right": "right", "bottom": "bottom", "top": "top"}
@@ -229,8 +231,40 @@ def test_cli_converge_writes_table(tmp_path, capsys):
     lines = csv_path.read_text().strip().split("\n")
     assert lines[0] == CSV_HEADER
     assert len(lines) == 3
-    manifest = json.loads((tmp_path / "convergence_low_matching_manifest.json").read_text())
+    text = (tmp_path / "convergence_low_matching_manifest.json").read_text()
+    manifest = json.loads(text, parse_constant=lambda name: pytest.fail(f"non-JSON {name}"))
     assert manifest["levels"] == 2
+    rows = manifest["rows"]
+    assert [r["h"] for r in rows] == [0.25, 0.125]
+    for row, cells in zip(rows, lines[1:]):
+        assert set(row) == {"h", "dof_counts", "rel_errors", "abs_errors"}
+        assert set(row["rel_errors"]) == set(row["abs_errors"]) == set(NORM_KEYS)
+        assert row["dof_counts"]["uf"] > 0
+        # the CSV's relative errors (3 significant digits) are the manifest's
+        assert float(cells.split(",")[1]) == pytest.approx(row["rel_errors"]["uf_l2H1"], rel=5e-3)
+    assert rows[1]["dof_counts"]["uf"] > rows[0]["dof_counts"]["uf"]
+    assert set(manifest["rates"]) == set(NORM_KEYS)
+    for k, (rate,) in manifest["rates"].items():
+        e0, e1 = rows[0]["rel_errors"][k], rows[1]["rel_errors"][k]
+        assert rate == pytest.approx(math.log2(e0 / e1), rel=1e-12), k
+
+
+def test_cli_converge_manifest_writes_nonfinite_rates_as_null(tmp_path, monkeypatch):
+    import stokesbiot.verify
+    from stokesbiot.verify import ConvergenceTable, ErrorReport
+
+    def table(elements, levels, **kwargs):
+        rows = [ErrorReport(h=1 / 4, dof_counts={"uf": 10}, abs_errors=dict.fromkeys(NORM_KEYS, 0.1),
+                            rel_errors=dict.fromkeys(NORM_KEYS, 0.1)),
+                ErrorReport(h=1 / 8, dof_counts={"uf": 40}, abs_errors=dict.fromkeys(NORM_KEYS, 0.0),
+                            rel_errors=dict.fromkeys(NORM_KEYS, 0.0))]
+        return ConvergenceTable(elements=elements, matching=True, rows=rows)
+
+    monkeypatch.setattr(stokesbiot.verify, "convergence_study", table)
+    assert cli(["converge", "--elements", "low", "--levels", "2", "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "convergence_low_matching_manifest.json").read_text()
+    manifest = json.loads(text, parse_constant=lambda name: pytest.fail(f"non-JSON {name}"))
+    assert manifest["rates"] == {k: [None] for k in NORM_KEYS}
 
 
 def test_cli_run_scenario_with_overrides(tmp_path):

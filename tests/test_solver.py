@@ -293,6 +293,17 @@ def test_invalid_tau():
         example1_system(4, LOW_ORDER, tau=-1.0)
 
 
+def test_bad_load_data_rejected_before_factorization(monkeypatch):
+    import stokesbiot.solver
+
+    def no_factorization(*args, **kwargs):
+        raise AssertionError("no factorization may start")
+
+    monkeypatch.setattr(stokesbiot.solver, "LUSolver", no_factorization)
+    with pytest.raises(ValueError, match="'static'"):
+        example1_system(4, LOW_ORDER, data_override={"static": True})
+
+
 # ---------------------------------------------------------------------------
 # stepping on the verification problem
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -5,6 +7,7 @@ import sympy as sym
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stokesbiot.assembly import Separable
 from stokesbiot.elements import SCALAR_ELEMENTS
 from stokesbiot.mesh import apply_domain_map, build_structured, reservoir_domain_map
 from stokesbiot.quadrature import triangle_rule
@@ -310,20 +313,29 @@ def test_tabulate_matches_einsum(skewed_mesh, family):
     _assert_rel_close(grads, np.einsum("mab,iqb->miqa", space.geometry.invJT, gref))
 
 
+def _two_terms(f):
+    """A two-term ``Separable`` with distinct time functions and spatial terms."""
+    return Separable({math.exp: f, (lambda t: math.sin(3.0 * t) + 0.5): lambda p: f(0.7 * p[:, ::-1])})
+
+
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_field_norms_match_einsum(skewed_mesh, family):
     space = make_space(skewed_mesh, family)
-    coeffs = np.random.default_rng(7).standard_normal(space.n_dofs)
+    times = [0.0, 0.4, 1.3]
+    coeffs = np.random.default_rng(7).standard_normal((space.n_dofs, len(times)))
     if space.vector:
-        exact = _vector_data
-        exact_grad = None if space.rt_order is not None else _tensor_data
+        exact = _two_terms(_vector_data)
+        exact_grad = None if space.rt_order is not None else _two_terms(_tensor_data)
     else:
-        exact, exact_grad = _scalar_data, None
-    grad = None if exact_grad is None else (lambda p, t: exact_grad(p))
-    got = _field_norms(space, coeffs, lambda p, t: exact(p), grad, 0.0)
-    want = _field_norms_oracle(space, coeffs, exact, exact_grad, _norm_rule(space))
-    for g, o in zip(got, want):
-        _assert_rel_close(g, o)
+        exact, exact_grad = _two_terms(_scalar_data), None
+    got = _field_norms(space, coeffs, times, exact, exact_grad)
+    assert got.shape == (4, len(times))
+    for s, t in enumerate(times):
+        grad = None if exact_grad is None else (lambda p: exact_grad(p, t))
+        want = _field_norms_oracle(space, coeffs[:, s], lambda p: exact(p, t), grad,
+                                   _norm_rule(space))
+        for g, o in zip(got[:, s], want):
+            _assert_rel_close(g, o)
 
 
 @pytest.mark.parametrize("family,k,columns", [
@@ -350,7 +362,7 @@ def test_values_only_callers_build_no_gradients(mesh):
     V, W = make_space(mesh, "VecP1bubble"), make_space(mesh, "P1")
     assemble_divergence(V, W)
     mass_matrix(W)
-    _field_norms(W, np.ones(W.n_dofs), lambda p, t: np.ones(len(p)), None, 0.0)
+    _field_norms(W, np.ones((W.n_dofs, 2)), [0.0, 1.0], Separable(lambda p: np.ones(len(p))))
     assert not W._cache
     rule = triangle_rule(default_quad_degree(V, W))
     assert np.array_equal(W.ref_values(rule), W.tabulate(rule)[0])

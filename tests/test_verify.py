@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,11 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stokesbiot.manufactured import example1_solution
+from stokesbiot import verify
+from stokesbiot.assembly import Separable
+from stokesbiot.manufactured import ManufacturedSolution, example1_solution
 from stokesbiot.solver import TransientState
-from stokesbiot.verify import (HIGH_ORDER, LOW_ORDER, UNSTABLE_CONTROL, error_norms,
-                               example1_system, inf_sup_estimate, multiplier_seminorm,
-                               multiplier_seminorm_gram, patch_test, run_example1)
+from stokesbiot.verify import (HIGH_ORDER, LOW_ORDER, NORM_FIELDS, NORM_KEYS, UNSTABLE_CONTROL,
+                               _norm_rule, error_norms, example1_system, inf_sup_estimate,
+                               multiplier_seminorm, multiplier_seminorm_gram, patch_test,
+                               run_example1)
 
 
 @pytest.fixture(scope="module")
@@ -122,21 +126,134 @@ def test_inf_sup_unstable_control_singular():
 
 def test_zero_exact_norm_reported_absolute():
     """A zero-denominator norm is flagged and reported as absolute."""
-    from stokesbiot.manufactured import ManufacturedSolution, example1_solution
-
     base = example1_solution()
     system = example1_system(4, LOW_ORDER)
-    ms0 = ManufacturedSolution(**{
-        name: (lambda p, t: np.zeros((len(p), 2))) if name in
-        ("uf", "up", "eta", "laplace_uf", "grad_div_uf", "grad_pf", "grad_pp",
-         "laplace_eta", "grad_div_eta", "dt_eta")
-        else (lambda p, t: np.zeros((len(p), 2, 2))) if name in ("grad_uf", "grad_eta", "dt_grad_eta")
-        else (lambda p, t: np.zeros(len(p)))
-        for name in vars(base)})
+    probe = np.zeros((1, 2))
+
+    def zero(field):
+        shape = np.shape(field(probe, 0.0))[1:]
+        return Separable(lambda p: np.zeros((len(p),) + shape))
+
+    ms0 = ManufacturedSolution(**{name: zero(f) for name, f in vars(base).items()})
     states = [TransientState(X=np.zeros(system.n_dofs), n=n, tau=system.tau) for n in range(3)]
     rep = error_norms(states, ms0, system)
     assert all(rep.absolute_flag.values())
     assert all(v == 0.0 for v in rep.abs_errors.values())
+
+
+@pytest.mark.parametrize("name", ["pf", "grad_eta"])
+def test_non_separable_exact_field_rejected(run8, name):
+    system, states, ms = run8
+    exact = getattr(ms, name)
+    plain = dataclasses.replace(ms, **{name: lambda p, t: exact(p, t)})
+    with pytest.raises(ValueError, match=repr(name)):
+        error_norms(states, plain, system)
+
+
+# ---------------------------------------------------------------------------
+# error norms: per field, all states batched, cell-chunked
+
+
+@pytest.fixture(scope="module", params=[(LOW_ORDER, False), (HIGH_ORDER, True)],
+                ids=["low-nonmatching", "high-matching"])
+def run8_pair(request):
+    elements, matching = request.param
+    ms = example1_solution()
+    system = example1_system(8, elements, matching=matching)
+    states, _ = run_example1(system, ms)
+    return system, states, ms
+
+
+def _per_state_error_norms(states, ms, system):
+    """The per-state formula: every exact field evaluated in full at every
+    norm-rule point for each state, one state at a time."""
+    def weighted_sum(values, w):
+        return np.vdot(w, values.reshape(w.shape + (-1,)).sum(axis=-1))
+
+    def field_norms(space, coeffs, exact, exact_grad, t):
+        rule = _norm_rule(space)
+        pts, w = space.geometry.quadrature(rule)
+        flat = pts.reshape(-1, 2)
+        c = coeffs[space.cell_dofs]
+        if space.rt_order is not None:
+            vals, _ = space.tabulate(rule)
+            uh = np.matmul(c[:, None, :], vals.reshape(c.shape + (-1,))).reshape(pts.shape)
+            ue = np.asarray(exact(flat, t)).reshape(pts.shape)
+            return weighted_sum((uh - ue) ** 2, w), weighted_sum(ue**2, w)
+        vals = space.ref_values(rule)
+        if space.vector:
+            c3 = c.reshape(c.shape[0], -1, 2)
+            uh = vals.T @ c3
+            ue = np.asarray(exact(flat, t)).reshape(pts.shape)
+            _, grads = space.tabulate(rule)
+            gh = np.einsum("miqa,mid->mqda", grads, c3, optimize=True)
+            ge = np.asarray(exact_grad(flat, t)).reshape(gh.shape)
+            return (weighted_sum((uh - ue) ** 2, w) + weighted_sum((gh - ge) ** 2, w),
+                    weighted_sum(ue**2, w) + weighted_sum(ge**2, w))
+        ph = c @ vals
+        pe = np.asarray(exact(flat, t)).reshape(w.shape)
+        return weighted_sum((ph - pe) ** 2, w), weighted_sum(pe**2, w)
+
+    fields = {"uf_l2H1": ("uf", ms.uf, ms.grad_uf), "pf_l2L2": ("pf", ms.pf, None),
+              "up_l2L2": ("up", ms.up, None), "pp_linfL2": ("pp", ms.pp, None),
+              "eta_linfH1": ("eta", ms.eta, ms.grad_eta)}
+    rel, absolute = {}, {}
+    for key, (name, exact, grad) in fields.items():
+        sq = [field_norms(system.spaces[name], system.view(s.X, name), exact, grad, s.t)
+              for s in states]
+        err, ex = [e for e, _ in sq], [x for _, x in sq]
+        if key.endswith("l2H1") or key.endswith("l2L2"):
+            num, den = (math.sqrt(system.tau * sum(v[1:])) for v in (err, ex))
+        else:
+            num, den = math.sqrt(max(err)), math.sqrt(max(ex))
+        absolute[key], rel[key] = num, num / den
+    return rel, absolute
+
+
+def test_error_norms_match_per_state_formula(run8_pair):
+    system, states, ms = run8_pair
+    rep = error_norms(states, ms, system)
+    rel, absolute = _per_state_error_norms(states, ms, system)
+    for k in NORM_KEYS:
+        assert rep.rel_errors[k] == pytest.approx(rel[k], rel=1e-12, abs=0), k
+        assert rep.abs_errors[k] == pytest.approx(absolute[k], rel=1e-12, abs=0), k
+
+
+def test_exact_terms_evaluated_once_per_point(run8_pair):
+    """Each spatial term of each exact field sees every norm-rule point of
+    its field's mesh exactly once per call, whatever the number of states."""
+    system, states, ms = run8_pair
+    seen = {}
+
+    def recorded(name, g, f):
+        def call(p):
+            seen.setdefault((name, g), []).append(p.copy())
+            return f(p)
+        return call
+
+    fields = {field: n for n, grad, _ in NORM_FIELDS.values() for field in (n, grad) if field}
+    counted = dataclasses.replace(ms, **{
+        field: Separable({g: recorded(field, g, f) for g, f in getattr(ms, field).terms.items()})
+        for field in fields})
+    error_norms(states, counted, system)
+    n_terms = 0
+    for field, name in fields.items():
+        space = system.spaces[name]
+        pts, _ = space.geometry.quadrature(_norm_rule(space))
+        for g in getattr(ms, field).terms:
+            np.testing.assert_array_equal(np.concatenate(seen[field, g]), pts.reshape(-1, 2))
+            n_terms += 1
+    assert len(seen) == n_terms
+
+
+def test_error_norms_independent_of_chunking(run8_pair, monkeypatch):
+    system, states, ms = run8_pair
+    default = error_norms(states, ms, system)
+    monkeypatch.setattr(verify, "NORM_CHUNK", 7)
+    chunked = error_norms(states, ms, system)
+    for k in NORM_KEYS:
+        assert chunked.rel_errors[k] == pytest.approx(default.rel_errors[k], rel=1e-13, abs=0), k
+        assert chunked.abs_errors[k] == pytest.approx(default.abs_errors[k], rel=1e-13, abs=0), k
 
 
 def test_rates_monotone_stabilizing():
