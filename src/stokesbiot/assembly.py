@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .elements import SCALAR_ELEMENTS
 from .interface import InterfacePairing, SegmentQuadrature, segment_quadrature, tangential_permeability
 from .quadrature import edge_rule, triangle_rule
 from .spaces import FESpace, default_quad_degree, load_vector, mass_matrix, scatter
@@ -93,19 +92,22 @@ def _sym_grad_form(space: FESpace, rule, two_mu, lam=None) -> sp.csr_matrix:
     """(2 mu D(u), D(v)) [+ (lam div u, div v)] for an interleaved vector space."""
     _, G = space.tabulate(rule)                      # (m, ns, q, 2)
     _, w = space.geometry.quadrature(rule)
-    mu = np.asarray(two_mu, dtype=float) / 2.0
-    mu_w = w * (mu[:, None] if mu.ndim else mu)
-    gg = np.einsum("miqk,mjqk,mq->mij", G, G, mu_w)
-    cross = np.einsum("miqb,mjqa,mq->miajb", G, G, mu_w)
-    m, ns = G.shape[0], G.shape[1]
-    eloc = np.zeros((m, ns, 2, ns, 2))
-    eye = np.eye(2)
-    eloc += gg[:, :, None, :, None] * eye[None, None, :, None, :]
-    eloc += cross
+    m, ns, nq, _ = G.shape
+    P = np.swapaxes(G, 2, 3).reshape(m, 2 * ns, nq)  # rows (i, a): d phi_i / d x_a
+
+    def gram(c):
+        """(c d_a phi_i, d_b phi_j) as [m, i, a, j, b]."""
+        c = np.asarray(c, dtype=float)
+        cw = w * (c[:, None] if c.ndim else c)
+        return np.matmul(P * cw[:, None, :], np.swapaxes(P, 1, 2)).reshape(m, ns, 2, ns, 2)
+
+    C = gram(np.asarray(two_mu, dtype=float) / 2.0)
+    eloc = C.transpose(0, 1, 4, 3, 2).copy()         # mu d_b phi_i d_a phi_j
+    gg = C[:, :, 0, :, 0] + C[:, :, 1, :, 1]         # mu grad phi_i . grad phi_j
+    eloc[:, :, 0, :, 0] += gg
+    eloc[:, :, 1, :, 1] += gg
     if lam is not None:
-        lam = np.asarray(lam, dtype=float)
-        lam_w = w * (lam[:, None] if lam.ndim else lam)
-        eloc += np.einsum("miqa,mjqb,mq->miajb", G, G, lam_w)
+        eloc += gram(lam)
     eloc = eloc.reshape(m, 2 * ns, 2 * ns)
     return scatter(eloc, space.cell_dofs, space.cell_dofs, (space.n_dofs, space.n_dofs))
 
@@ -238,12 +240,10 @@ def multiplier_mass(L: MultiplierSpace, squad: SegmentQuadrature | None = None) 
 # interface forms
 
 
-def _scalar_trace(space: FESpace, ref_pts: np.ndarray) -> np.ndarray:
-    """Scalar component values (ns, nseg, q) at per-segment reference coords."""
-    el = SCALAR_ELEMENTS[space.scalar_name]
-    nseg, nq, _ = ref_pts.shape
-    vals, _ = el.tabulate(ref_pts.reshape(-1, 2))
-    return vals.reshape(-1, nseg, nq)
+def _trace(space: FESpace, cells, points, direction) -> np.ndarray:
+    """Component (n, n_loc, q) of a vector basis along one direction (n, 2)
+    per row, at physical points (n, q, 2) in ``cells``."""
+    return np.einsum("knqd,kd->knq", space.basis_values(cells, points), direction)
 
 
 def assemble_bgamma(pairing: InterfacePairing, V_f: FESpace, V_p: FESpace,
@@ -259,24 +259,15 @@ def assemble_bgamma(pairing: InterfacePairing, V_f: FESpace, V_p: FESpace,
     squad = squad or segment_quadrature(pairing, INTERFACE_QUAD_DEGREE)
     lb = L.tabulate(squad.t_edge_p)                       # (nb, nseg, q)
     lam_rows = L.edge_dofs(pairing.seg_poro)
-
-    sv_f = _scalar_trace(V_f, squad.points_f)             # (ns, nseg, q)
-    ef = np.einsum("bkq,skq,kq,kd->kbsd", lb, sv_f, squad.weights, pairing.seg_n_f)
-    ef = ef.reshape(ef.shape[0], ef.shape[1], -1)
-    cols_f = V_f.cell_dofs[squad.cells_f]
-    B_f = scatter(ef, lam_rows, cols_f, (L.n_dofs, V_f.n_dofs))
-
-    rtv = V_p.rt_eval_cells(squad.cells_p, squad.points_p)  # (nseg, nv, q, 2)
-    ep = np.einsum("bkq,knqd,kq,kd->kbn", lb, rtv, squad.weights, pairing.seg_n_p)
-    cols_p = V_p.cell_dofs[squad.cells_p]
-    B_p = scatter(ep, lam_rows, cols_p, (L.n_dofs, V_p.n_dofs))
-
-    sv_e = _scalar_trace(X_p, squad.points_p)
-    ee = np.einsum("bkq,skq,kq,kd->kbsd", lb, sv_e, squad.weights, pairing.seg_n_p)
-    ee = ee.reshape(ee.shape[0], ee.shape[1], -1)
-    cols_e = X_p.cell_dofs[squad.cells_p]
-    B_e = scatter(ee, lam_rows, cols_e, (L.n_dofs, X_p.n_dofs))
-    return B_f, B_p, B_e
+    blocks = []
+    for space, cells, points, normal in (
+            (V_f, squad.cells_f, squad.points_f, pairing.seg_n_f),
+            (V_p, squad.cells_p, squad.points_p, pairing.seg_n_p),
+            (X_p, squad.cells_p, squad.points_p, pairing.seg_n_p)):
+        vn = _trace(space, cells, points, normal)
+        eloc = np.einsum("bkq,knq,kq->kbn", lb, vn, squad.weights)
+        blocks.append(scatter(eloc, lam_rows, space.cell_dofs[cells], (L.n_dofs, space.n_dofs)))
+    return tuple(blocks)
 
 
 def assemble_bjs(pairing: InterfacePairing, V_f: FESpace, X_p: FESpace,
@@ -297,20 +288,10 @@ def assemble_bjs(pairing: InterfacePairing, V_f: FESpace, X_p: FESpace,
     wseg = params.mu * params.alpha_bjs / np.sqrt(Kj)     # (nseg,)
     w = squad.weights * wseg[:, None]
     tau = pairing.seg_tau
-
-    sv_f = _scalar_trace(V_f, squad.points_f)
-    sv_e = _scalar_trace(X_p, squad.points_p)
-    cols_f = V_f.cell_dofs[squad.cells_f]
-    cols_e = X_p.cell_dofs[squad.cells_p]
-
-    def block(sa, sb):
-        e = np.einsum("ikq,jkq,kq,ka,kb->kiajb", sa, sb, w, tau, tau)
-        return e.reshape(e.shape[0], 2 * sa.shape[0], 2 * sb.shape[0])
-
-    M_ff = scatter(block(sv_f, sv_f), cols_f, cols_f, (V_f.n_dofs, V_f.n_dofs))
-    M_fe = scatter(block(sv_f, sv_e), cols_f, cols_e, (V_f.n_dofs, X_p.n_dofs))
-    M_ee = scatter(block(sv_e, sv_e), cols_e, cols_e, (X_p.n_dofs, X_p.n_dofs))
-    return M_ff, M_fe, M_ee
+    f = (V_f.n_dofs, V_f.cell_dofs[squad.cells_f], _trace(V_f, squad.cells_f, squad.points_f, tau))
+    e = (X_p.n_dofs, X_p.cell_dofs[squad.cells_p], _trace(X_p, squad.cells_p, squad.points_p, tau))
+    return tuple(scatter(np.einsum("kiq,kjq,kq->kij", ta, tb, w), ra, rb, (na, nb))
+                 for (na, ra, ta), (nb, rb, tb) in ((f, f), (f, e), (e, e)))
 
 
 # ---------------------------------------------------------------------------
@@ -327,16 +308,13 @@ def darcy_pressure_load(V_p: FESpace, tags, p_data) -> np.ndarray:
     owner, _ = mesh.bedge_owner()
     rule = edge_rule(INTERFACE_QUAD_DEGREE)
     a = mesh.nodes[mesh.bedges[ids, 0]]
-    b = mesh.nodes[mesh.bedges[ids, 1]]
-    t = b - a
-    lengths = np.linalg.norm(t, axis=1)
-    normals = np.column_stack([t[:, 1], -t[:, 0]]) / lengths[:, None]
+    t = mesh.nodes[mesh.bedges[ids, 1]] - a
     pts = a[:, None, :] + rule.points[None, :, None] * t[:, None, :]
     cells = owner[ids]
-    vals = V_p.rt_eval_cells(cells, V_p.geometry.ref_coords(cells, pts))   # (ne, nv, q, 2)
+    vn = _trace(V_p, cells, pts, mesh.bedge_normals()[ids])           # (ne, nv, q)
     pd = np.asarray(p_data(pts.reshape(-1, 2))).reshape(pts.shape[:2])
-    w = rule.weights[None, :] * lengths[:, None]
-    eloc = -np.einsum("enqd,ed,eq,eq->en", vals, normals, pd, w)
+    w = rule.weights[None, :] * np.linalg.norm(t, axis=1)[:, None]
+    eloc = -np.einsum("enq,eq,eq->en", vn, pd, w)
     np.add.at(out, V_p.cell_dofs[cells].ravel(), eloc.ravel())
     return out
 

@@ -2,12 +2,14 @@
 
 A trace is the set of boundary edges of one mesh tagged ``interface``, held
 as arrays with one row per edge: boundary-edge ids, owner cells, end points
-and their arclength parameters.  The poro-side trace, chained into one open
-polyline from its lexicographically smallest end, is the master geometry:
-``project_to_polyline`` maps the end points of both traces onto it, and the
-merged breakpoints define segments on which cross-mesh products are
-integrated exactly.  Each segment knows its owning edge (hence cell) on both
-sides together with unit normals, the tangent and the tangential permeability.
+and their arclength parameters.  The poro-side trace is the master geometry:
+its edges are chained by mesh node ids into one open polyline from its
+lexicographically smallest end, whose vertices are the mesh nodes and whose
+cumulative lengths parameterize the trace.  ``project_to_polyline`` maps the
+fluid trace's end points onto it, and the merged breakpoints define segments
+on which cross-mesh products are integrated exactly.  Each segment knows its
+owning edge (hence cell) on both sides together with unit normals, the
+tangent and the tangential permeability.
 """
 
 from __future__ import annotations
@@ -72,32 +74,38 @@ def _collect_trace(mesh: Mesh2D, tag: str = "interface") -> Trace:
                  a=mesh.nodes[mesh.bedges[ids, 0]], b=mesh.nodes[mesh.bedges[ids, 1]])
 
 
-def _chain_polyline(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Order the edges (a[i], b[i]) into one open chain; returns its vertex array."""
-    key = lambda p: (round(p[0], 12), round(p[1], 12))
-    ka, kb = [key(p) for p in a], [key(p) for p in b]
-    adj: dict = {}
-    for i in range(len(a)):
-        adj.setdefault(ka[i], []).append((i, True))
-        adj.setdefault(kb[i], []).append((i, False))
-    ends = [k for k, v in adj.items() if len(v) == 1]
-    if len(ends) != 2:
+def _chain(mesh: Mesh2D, trace: Trace):
+    """Vertices of the trace as one open polyline, their arclengths, and the
+    arclengths (k, 2) of each edge's end points.
+
+    Boundary edges keep their owner cell on the left, so each edge's head
+    node is the tail node of the next one: the edges are chained by node
+    ids.  The polyline starts at the lexicographically smallest end.  A
+    branched, closed or split trace raises ``GeometryMismatchError``.
+    """
+    ends = mesh.bedges[trace.bedges]
+    tail, head = ends[:, 0], ends[:, 1]
+    k = len(tail)
+    if len(np.unique(tail)) < k or len(np.unique(head)) < k:
+        raise GeometryMismatchError("interface trace branches at a node")
+    start = np.flatnonzero(~np.isin(tail, head))
+    if len(start) != 1:
         raise GeometryMismatchError("interface trace is not a single open chain")
-    start = min(ends)
-    chain = [np.array(start)]
-    used = set()
-    node = start
-    while True:
-        options = [x for x in adj[node] if x[0] not in used]
-        if not options:
-            break
-        i, forward = options[0]
-        used.add(i)
-        chain.append(b[i] if forward else a[i])
-        node = kb[i] if forward else ka[i]
-    if len(used) != len(a):
+    succ = np.full(mesh.n_nodes, -1)
+    succ[tail] = np.arange(k)
+    order = [int(start[0])]
+    while succ[head[order[-1]]] >= 0:
+        order.append(int(succ[head[order[-1]]]))
+    if len(order) != k:
         raise GeometryMismatchError("interface trace edges do not form one chain")
-    return np.array(chain)
+    ids = np.append(tail[order], head[order[-1]])
+    if tuple(mesh.nodes[ids[-1]]) < tuple(mesh.nodes[ids[0]]):
+        ids = ids[::-1]
+    poly = mesh.nodes[ids]
+    arc = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(poly, axis=0), axis=1))])
+    position = np.empty(mesh.n_nodes, dtype=np.int64)
+    position[ids] = np.arange(k + 1)
+    return poly, arc, arc[position[ends]]
 
 
 def project_to_polyline(points: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -137,19 +145,17 @@ def common_refinement(mesh_f: Mesh2D, mesh_p: Mesh2D) -> InterfacePairing:
     fluid = _collect_trace(mesh_f)
     poro = _collect_trace(mesh_p)
 
-    poly = _chain_polyline(poro.a, poro.b)
-    arc = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(poly, axis=0), axis=1))])
+    poly, arc, poro.s = _chain(mesh_p, poro)
     total = arc[-1]
 
-    for trace in (poro, fluid):
-        ends = np.stack([trace.a, trace.b], axis=1).reshape(-1, 2)
-        seg, t, dist = project_to_polyline(ends, poly[:-1], poly[1:])
-        bad = np.flatnonzero(dist > PROJECTION_TOL * total)
-        if len(bad):
-            p, d = ends[bad[0]], dist[bad[0]]
-            raise GeometryMismatchError(
-                f"interface traces mismatch: point {p} is {d:.3e} from the master polyline")
-        trace.s = (arc[seg] + t * (arc[seg + 1] - arc[seg])).reshape(-1, 2)
+    ends = np.stack([fluid.a, fluid.b], axis=1).reshape(-1, 2)
+    seg, t, dist = project_to_polyline(ends, poly[:-1], poly[1:])
+    bad = np.flatnonzero(dist > PROJECTION_TOL * total)
+    if len(bad):
+        p, d = ends[bad[0]], dist[bad[0]]
+        raise GeometryMismatchError(
+            f"interface traces mismatch: point {p} is {d:.3e} from the master polyline")
+    fluid.s = (arc[seg] + t * (arc[seg + 1] - arc[seg])).reshape(-1, 2)
 
     breaks = np.sort(np.concatenate([[0.0, total], poro.s.ravel(), fluid.s.ravel()]))
     breaks = breaks[np.concatenate([[True], np.diff(breaks) > MERGE_TOL * total])]
@@ -188,11 +194,10 @@ def _validate_pairing(pairing: InterfacePairing, total: float) -> None:
 
 @dataclass
 class SegmentQuadrature:
-    """Per-segment quadrature with preimages in both adjacent cells."""
+    """Per-segment quadrature points on both sides, with their cells."""
 
-    points_f: np.ndarray     # (n_seg, q, 2) reference coords in the fluid cell
-    points_p: np.ndarray     # (n_seg, q, 2) reference coords in the poro cell
-    phys: np.ndarray         # (n_seg, q, 2) physical points (poro-side geometry)
+    points_f: np.ndarray     # (n_seg, q, 2) physical points on the fluid edge
+    points_p: np.ndarray     # (n_seg, q, 2) physical points on the poro edge
     weights: np.ndarray      # (n_seg, q) arclength weights
     t_edge_p: np.ndarray     # (n_seg, q) parameter on the poro edge (multiplier coord)
     cells_f: np.ndarray
@@ -200,8 +205,6 @@ class SegmentQuadrature:
 
 
 def segment_quadrature(pairing: InterfacePairing, degree: int) -> SegmentQuadrature:
-    from .spaces import _geometry
-
     rule = edge_rule(degree)
 
     def on_edges(trace, j, t):
@@ -215,13 +218,12 @@ def segment_quadrature(pairing: InterfacePairing, degree: int) -> SegmentQuadrat
     gap = np.abs(xf - xp).max(axis=(1, 2))
     bad = np.flatnonzero(gap > 1e-10 * max(1.0, pairing.length))
     if len(bad):
-        raise GeometryMismatchError(f"segment {bad[0]}: preimages disagree by {gap[bad[0]]:.2e}")
-    cells_f = pairing.fluid.cells[pairing.seg_fluid]
-    cells_p = pairing.poro.cells[pairing.seg_poro]
-    return SegmentQuadrature(points_f=_geometry(pairing.mesh_f).ref_coords(cells_f, xf),
-                             points_p=_geometry(pairing.mesh_p).ref_coords(cells_p, xp),
-                             phys=xp, weights=rule.weights[None, :] * pairing.seg_length[:, None],
-                             t_edge_p=t_edge_p, cells_f=cells_f, cells_p=cells_p)
+        raise GeometryMismatchError(f"segment {bad[0]}: quadrature points of the two sides "
+                                    f"disagree by {gap[bad[0]]:.2e}")
+    return SegmentQuadrature(points_f=xf, points_p=xp,
+                             weights=rule.weights[None, :] * pairing.seg_length[:, None],
+                             t_edge_p=t_edge_p, cells_f=pairing.fluid.cells[pairing.seg_fluid],
+                             cells_p=pairing.poro.cells[pairing.seg_poro])
 
 
 def tangential_permeability(pairing: InterfacePairing, K) -> np.ndarray:

@@ -316,8 +316,9 @@ def scenario_summary(system: CoupledSystem, state, near_radius: float = 0.1) -> 
 
 
 def _rt_at_centroids(space, coeffs) -> np.ndarray:
-    ref = np.tile(np.array([[1.0 / 3.0, 1.0 / 3.0]]), (space.mesh.n_tris, 1, 1))
-    vals = space.rt_eval_cells(np.arange(space.mesh.n_tris), ref)   # (m, n, 1, 2)
+    mesh = space.mesh
+    centroids = mesh.nodes[mesh.tris].mean(axis=1)[:, None, :]
+    vals = space.basis_values(np.arange(mesh.n_tris), centroids)   # (m, n, 1, 2)
     return np.einsum("mnqd,mn->md", vals, coeffs[space.cell_dofs])
 
 

@@ -487,7 +487,6 @@ class CoupledSystem:
 
     def __init__(self, spaces: dict, L: MultiplierSpace, pairing: InterfacePairing,
                  params: PhysicalParams, tau: float, bcs: list, data: dict | None = None,
-                 interface_degree: int = assembly.INTERFACE_QUAD_DEGREE,
                  factorize: bool = True):
         if tau <= 0:
             raise ValueError("time step must be positive")
@@ -509,7 +508,7 @@ class CoupledSystem:
             off += self.sizes[name]
         self.n_dofs = off
 
-        squad = segment_quadrature(pairing, interface_degree)
+        squad = segment_quadrature(pairing, assembly.INTERFACE_QUAD_DEGREE)
         b = {}
         b["Af"] = assembly.assemble_stokes_viscous(spaces["uf"], params)
         b["Ap"] = assembly.assemble_darcy_mass(spaces["up"], params)

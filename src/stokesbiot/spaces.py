@@ -72,9 +72,8 @@ class CellGeometry:
         return self._quadrature[key]
 
     def ref_coords(self, cells, phys: np.ndarray) -> np.ndarray:
-        """Reference coordinates of physical points: (q, 2) in one cell, or
-        (n, q, 2) in an array of n cells."""
-        return np.matmul(np.atleast_2d(phys) - self.v0[cells][..., None, :], self.invJT[cells])
+        """Reference coordinates (n, q, 2) of physical points (n, q, 2) in ``cells``."""
+        return np.matmul(phys - self.v0[cells][:, None, :], self.invJT[cells])
 
 
 def _geometry(mesh: Mesh2D) -> CellGeometry:
@@ -116,7 +115,7 @@ class FESpace:
         key = (id(rule), rule.degree)
         if key not in self._cache:
             if self.rt_order is not None:
-                self._cache[key] = self._tabulate_rt(rule)
+                self._cache[key] = self._rt_basis(slice(None), self.geometry.quadrature(rule)[0])
             else:
                 el = SCALAR_ELEMENTS[self.scalar_name]
                 vals, gref = el.tabulate(rule.points)
@@ -172,23 +171,36 @@ class FESpace:
         self._cache["rt"] = (centroid, scale, coeffs)
         return self._cache["rt"]
 
-    def _tabulate_rt(self, rule):
+    def _rt_basis(self, cells, pts: np.ndarray):
+        """RT basis values (n, n_loc, q, 2) and divergences (n, n_loc, q) at
+        physical points (n, q, 2) in ``cells``, straight from the monomials."""
         centroid, scale, coeffs = self._rt_data()
-        pts, _ = self.geometry.quadrature(rule)
-        X = (pts - centroid[:, None, :]) / scale[:, None, None]
-        mv, md = _rt_monomials(self.rt_order, X)       # (k, m, q, 2), (k, m, q)
-        vals = np.einsum("kmqd,mkn->mnqd", mv / scale[None, :, None, None], coeffs)
-        divs = np.einsum("kmq,mkn->mnq", md / (scale**2)[None, :, None], coeffs)
+        s = scale[cells]
+        X = (pts - centroid[cells, None, :]) / s[:, None, None]
+        mv, md = _rt_monomials(self.rt_order, X)       # (k, n, q, 2), (k, n, q)
+        vals = np.einsum("kmqd,mkn->mnqd", mv / s[None, :, None, None], coeffs[cells])
+        divs = np.einsum("kmq,mkn->mnq", md / (s**2)[None, :, None], coeffs[cells])
         return vals, divs
 
-    def rt_eval_cells(self, cells: np.ndarray, ref_points: np.ndarray):
-        """RT basis values at per-cell reference points (n_cells, q, 2)."""
-        centroid, scale, coeffs = self._rt_data()
-        geo = self.geometry
-        pts = geo.v0[cells, None, :] + np.einsum("cab,cqb->cqa", geo.J[cells], ref_points)
-        X = (pts - centroid[cells, None, :]) / scale[cells, None, None]
-        mv, _ = _rt_monomials(self.rt_order, X)
-        return np.einsum("kcqd,ckn->cnqd", mv / scale[None, cells, None, None], coeffs[cells])
+    def basis_values(self, cells: np.ndarray, points: np.ndarray) -> np.ndarray:
+        """Basis values at physical points (n, q, 2), row i in ``cells[i]``.
+
+        Scalar families give (n, n_loc, q).  RT and vector families give
+        (n, n_loc, q, 2), the vector bases interleaved like ``cell_dofs``:
+        local function 2i is (phi_i, 0) and 2i + 1 is (0, phi_i).
+        """
+        if self.rt_order is not None:
+            return self._rt_basis(cells, points)[0]
+        n, q, _ = points.shape
+        ref = self.geometry.ref_coords(cells, points).reshape(-1, 2)
+        vals = SCALAR_ELEMENTS[self.scalar_name].tabulate(ref)[0].reshape(-1, n, q)
+        vals = np.swapaxes(vals, 0, 1)                 # (n, ns, q)
+        if not self.vector:
+            return vals
+        out = np.zeros((n, 2 * vals.shape[1], q, 2))
+        out[:, 0::2, :, 0] = vals
+        out[:, 1::2, :, 1] = vals
+        return out
 
     # -- dof helpers ---------------------------------------------------------
 

@@ -355,10 +355,7 @@ def energy_identity_residual(system: CoupledSystem, state: TransientState,
     dpp = (pp1 - pp0) / tau
     det = (et1 - et0) / tau
 
-    def energy(pp, et):
-        return 0.5 * (s0 * pp @ (b["Mp"] @ pp) + et @ (b["Ae"] @ et))
-
-    lhs = (energy(pp1, et1) - energy(pp0, et0)) / tau
+    lhs = (discrete_energy(system, state) - discrete_energy(system, prev)) / tau
     lhs += 0.5 * tau * (s0 * dpp @ (b["Mp"] @ dpp) + det @ (b["Ae"] @ det))
     lhs += uf @ (b["Af"] @ uf) + up @ (b["Ap"] @ up)
     lhs += uf @ (b["Mff"] @ uf) - 2.0 * uf @ (b["Mfe"] @ det) + det @ (b["Mee"] @ det)

@@ -89,8 +89,7 @@ def edge_frames(space):
 
 def rt_values(space, phys_points):
     """Basis values (n_loc, q, 2) of a one-cell RT space at physical points."""
-    ref = space.geometry.ref_coords(0, phys_points)
-    return space.rt_eval_cells(np.array([0]), ref[None])[0]
+    return space.basis_values(np.array([0]), phys_points[None])[0]
 
 
 def test_rt0_reference_normal_traces():

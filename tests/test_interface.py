@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from stokesbiot.interface import (GeometryMismatchError, common_refinement, project_to_polyline,
                                   segment_quadrature, tangential_permeability)
-from stokesbiot.mesh import apply_domain_map, build_fracture_domain, build_structured, reservoir_domain_map
+from stokesbiot.mesh import (Mesh2D, apply_domain_map, build_fracture_domain, build_structured,
+                             reservoir_domain_map)
 
 TAGS = {"left": "left", "right": "right", "bottom": "bottom", "top": "top"}
 
@@ -82,6 +83,24 @@ def test_two_interface_chains_rejected():
         common_refinement(fluid, poro)
 
 
+def test_closed_interface_loop_rejected():
+    fluid = build_structured((0, 1, 0, 1), 4, 4, "fluid", {**TAGS, "bottom": "interface"})
+    poro = build_structured((0, 1, -1, 0), 4, 4, "poro", dict.fromkeys(TAGS, "interface"))
+    with pytest.raises(GeometryMismatchError, match="not a single open chain"):
+        common_refinement(fluid, poro)
+
+
+def test_branched_interface_rejected():
+    """Two triangles that touch at one node: four trace edges meet there."""
+    fluid = build_structured((0, 1, 0, 1), 4, 4, "fluid", {**TAGS, "bottom": "interface"})
+    poro = Mesh2D(nodes=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
+                  tris=np.array([[0, 1, 2], [0, 3, 4]]), tri_tags=np.array(["poro"] * 2),
+                  bedges=np.array([[0, 1], [1, 2], [2, 0], [0, 3], [3, 4], [4, 0]]),
+                  bedge_tags=np.array(["interface"] * 6))
+    with pytest.raises(GeometryMismatchError, match="branches"):
+        common_refinement(fluid, poro)
+
+
 def test_missing_interface_tag_rejected():
     fluid = build_structured((0, 1, 0, 1), 4, 4, "fluid", TAGS)
     poro = build_structured((0, 1, -1, 0), 4, 4, "poro", {**TAGS, "top": "interface"})
@@ -92,8 +111,9 @@ def test_missing_interface_tag_rejected():
 def test_segment_quadrature_preimages_and_length():
     pairing = common_refinement(*flat_pair(5, 8))
     sq = segment_quadrature(pairing, 3)
-    # both preimages map to the same physical point (already asserted inside,
-    # here we just confirm total weight = interface length)
+    # the two sides' quadrature points coincide (also asserted inside);
+    # the weights add up to the interface length
+    np.testing.assert_allclose(sq.points_f, sq.points_p, rtol=0, atol=1e-15)
     assert sq.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -102,13 +122,13 @@ def test_segment_quadrature_midpoint_rule():
     sq = segment_quadrature(pairing, 1)
     assert sq.weights.shape[1] == 1
     assert np.allclose(sq.weights[:, 0], pairing.seg_length)
-    assert np.allclose(sq.phys[:, 0, 1], 0.0, atol=1e-14)
+    assert np.allclose(sq.points_p[:, 0, 1], 0.0, atol=1e-14)
 
 
 def test_line_integral_of_x():
     pairing = common_refinement(*flat_pair(5, 8))
     sq = segment_quadrature(pairing, 4)
-    val = np.sum(sq.weights * sq.phys[:, :, 0])
+    val = np.sum(sq.weights * sq.points_p[:, :, 0])
     assert val == pytest.approx(0.5, abs=1e-12)
 
 
@@ -116,7 +136,7 @@ def test_cross_mesh_monomial_products_exact():
     """Traces from both sides integrate products exactly (mortar consistency)."""
     pairing = common_refinement(*flat_pair(5, 8))
     sq = segment_quadrature(pairing, 7)
-    x = sq.phys[:, :, 0]
+    x = sq.points_p[:, :, 0]
     for (i, j) in [(0, 0), (1, 1), (2, 1), (3, 2), (2, 3)]:
         val = np.sum(sq.weights * x**i * x**j)
         exact = 1.0 / (i + j + 1)
@@ -136,6 +156,48 @@ def test_fracture_pairing_arclength_and_normals():
     a, b = np.sqrt(0.5), 0.05
     perimeter = 2 * a * ellipe(1 - (b / a) ** 2)
     assert pairing.length == pytest.approx(perimeter, rel=5e-3)
+
+
+def mapped_fracture(resolution):
+    return tuple(apply_domain_map(m, reservoir_domain_map()) for m in build_fracture_domain(resolution))
+
+
+def test_poro_polyline_vertices_are_mesh_nodes():
+    """The poro trace is parameterized by the mesh nodes themselves: sorted
+    along the interface, its edges' parameters are the cumulative lengths of
+    the edges, starting at exactly 0."""
+    pairing = common_refinement(*mapped_fracture(0.05))
+    poro = pairing.poro
+    order = np.argsort(poro.s.min(axis=1))
+    ids = pairing.mesh_p.bedges[poro.bedges[order]]
+    assert np.all(np.isin(ids[:-1], ids[1:]).any(axis=1))    # consecutive edges share a node
+    cum = np.cumsum(np.linalg.norm(poro.b - poro.a, axis=1)[order])
+    np.testing.assert_array_equal(poro.s.min(axis=1)[order], np.concatenate([[0.0], cum[:-1]]))
+    np.testing.assert_array_equal(poro.s.max(axis=1)[order], cum)
+
+
+def shuffled(mesh, seed):
+    """The same mesh with its boundary edges stored in another order."""
+    perm = np.random.default_rng(seed).permutation(len(mesh.bedges))
+    return Mesh2D(nodes=mesh.nodes, tris=mesh.tris, tri_tags=mesh.tri_tags,
+                  bedges=mesh.bedges[perm], bedge_tags=mesh.bedge_tags[perm])
+
+
+def segment_table(pairing):
+    """Per segment: node ids of its fluid and poro edges, parameters, length."""
+    return (pairing.mesh_f.bedges[pairing.fluid.bedges[pairing.seg_fluid]],
+            pairing.mesh_p.bedges[pairing.poro.bedges[pairing.seg_poro]],
+            pairing.seg_t_f, pairing.seg_t_p, pairing.seg_length)
+
+
+@pytest.mark.parametrize("meshes", [flat_pair(5, 8), mapped_fracture(0.08)], ids=["flat", "fracture"])
+def test_segment_table_independent_of_edge_order(meshes):
+    fluid, poro = meshes
+    base = segment_table(common_refinement(fluid, poro))
+    for pair in ((shuffled(fluid, 1), poro), (fluid, shuffled(poro, 2)),
+                 (shuffled(fluid, 3), shuffled(poro, 4))):
+        for got, want in zip(segment_table(common_refinement(*pair)), base):
+            np.testing.assert_array_equal(got, want)
 
 
 def test_tangential_permeability_per_segment():

@@ -138,7 +138,6 @@ def test_rt_interpolation_normal_continuity(mesh, family, exact):
     co = rt_interpolate(space, f)
     scale = np.abs(co).max()
     ec = mesh.edge_cells()
-    geo = space.geometry
     for e in np.nonzero(ec[:, 1] >= 0)[0]:
         a, b = mesh.edges[e]
         pts = mesh.nodes[a] + np.linspace(0.1, 0.9, 5)[:, None] * (mesh.nodes[b] - mesh.nodes[a])
@@ -146,8 +145,7 @@ def test_rt_interpolation_normal_continuity(mesh, family, exact):
         n = np.array([t[1], -t[0]]) / np.linalg.norm(t)
         traces = []
         for cell in ec[e]:
-            ref = geo.ref_coords(cell, pts)
-            vals = space.rt_eval_cells(np.array([cell]), ref[None, :, :])[0]
+            vals = space.basis_values(np.array([cell]), pts[None])[0]
             traces.append(np.einsum("nq,n->q", vals @ n, co[space.cell_dofs[cell]]))
         assert np.abs(traces[0] - traces[1]).max() < 1e-12 * max(1.0, scale)
 
@@ -158,7 +156,6 @@ def test_rt0_unit_flux_normalization(mesh):
     from stokesbiot.quadrature import edge_rule
 
     eq = edge_rule(5)
-    geo = space.geometry
     for cell in (0, 7, 12):
         for loc in range(3):
             e = mesh.cell_edges[cell, loc]
@@ -167,8 +164,7 @@ def test_rt0_unit_flux_normalization(mesh):
             L = np.linalg.norm(t)
             n = np.array([t[1], -t[0]]) / L
             pts = mesh.nodes[a] + eq.points[:, None] * t[None, :]
-            ref = geo.ref_coords(cell, pts)
-            vals = space.rt_eval_cells(np.array([cell]), ref[None, :, :])[0]
+            vals = space.basis_values(np.array([cell]), pts[None])[0]
             flux = np.einsum("nqd,d,q->n", vals, n, eq.weights) * L
             expected = np.zeros(3)
             expected[loc] = 1.0
@@ -305,12 +301,33 @@ def test_tabulate_matches_einsum(skewed_mesh, family):
     rule = _norm_rule(space)
     vals, grads = space.tabulate(rule)
     if space.rt_order is not None:
-        m, q = skewed_mesh.n_tris, rule.n_points
-        ref = np.broadcast_to(rule.points, (m, q, 2))
-        _assert_rel_close(vals, space.rt_eval_cells(np.arange(m), ref))
+        pts, _ = _einsum_quadrature(space, rule)
+        _assert_rel_close(vals, space.basis_values(np.arange(skewed_mesh.n_tris), pts))
         return
     _, gref = SCALAR_ELEMENTS[space.scalar_name].tabulate(rule.points)
     _assert_rel_close(grads, np.einsum("mab,iqb->miqa", space.geometry.invJT, gref))
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_basis_values_match_tabulate(skewed_mesh, family):
+    """The per-cell evaluator at the cached quadrature points gives the values
+    of ``tabulate``; a vector field built from it with ``cell_dofs`` has the
+    even coefficients as x and the odd ones as y component."""
+    space = make_space(skewed_mesh, family)
+    rule = _norm_rule(space)
+    m = skewed_mesh.n_tris
+    pts, _ = space.geometry.quadrature(rule)
+    got = space.basis_values(np.arange(m), pts)
+    vals, _ = space.tabulate(rule)
+    if space.rt_order is not None or not space.vector:
+        _assert_rel_close(got, np.broadcast_to(vals, got.shape))
+        return
+    assert got.shape == (m, space.n_loc, rule.n_points, 2)
+    c = np.random.default_rng(3).standard_normal(space.n_dofs)
+    uh = np.einsum("mnqd,mn->mqd", got, c[space.cell_dofs])
+    scalar_dofs = space.cell_dofs[:, 0::2] // 2
+    for d in range(2):
+        _assert_rel_close(uh[..., d], c[d::2][scalar_dofs] @ vals)
 
 
 def _two_terms(f):

@@ -41,13 +41,22 @@ def test_errors_below_one_for_computed_solution(run8):
 
 
 def test_discrete_time_norm_inequality(run8):
-    """l2-in-time <= sqrt(T) * linf-in-time for any per-step sequence."""
+    """``error_norms`` combines the per-state squared errors of
+    ``_field_norms`` as max over states 0..N (linf) and tau * sum over
+    states 1..N (l2); on those values linf >= l2 / sqrt(T)."""
     system, states, ms = run8
     tau, T = system.tau, states[-1].t
-    seq = [np.linalg.norm(system.view(s.X, "pp")) for s in states]
-    l2t = math.sqrt(tau * sum(v**2 for v in seq[1:]))
-    linf = max(seq)
-    assert linf >= l2t / math.sqrt(T) - 1e-14
+    rep = error_norms(states, ms, system)
+    times = [s.t for s in states]
+    for key in ("pp_linfL2", "up_l2L2"):
+        name, grad, time_norm = NORM_FIELDS[key]
+        coeffs = np.column_stack([system.view(s.X, name) for s in states])
+        e2, s2, _, _ = verify._field_norms(system.spaces[name], coeffs, times, getattr(ms, name),
+                                           None if grad is None else getattr(ms, grad))
+        seq = e2 + s2
+        linf, l2 = math.sqrt(seq.max()), math.sqrt(tau * seq[1:].sum())
+        assert rep.abs_errors[key] == pytest.approx(linf if time_norm == "linf" else l2, rel=1e-14)
+        assert linf >= l2 / math.sqrt(T) - 1e-14
 
 
 # ---------------------------------------------------------------------------
