@@ -16,8 +16,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from .config import ConfigError
 
 

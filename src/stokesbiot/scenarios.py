@@ -9,7 +9,6 @@ stand-in for the external 60 x 220 field dataset ships with the package.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field, replace
 

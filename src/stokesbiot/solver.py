@@ -9,7 +9,11 @@ L(t_{n+1}) + E X^n / tau.
 Essential conditions are imposed by ``ConstrainedOperator``: it rotates
 constrained velocity / displacement node pairs into normal-tangential form
 where needed, then eliminates rows and columns with a symmetric right-hand
-side correction.  The step matrix is factorized once and reused.
+side correction.  The step matrix is factorized once and reused.  The
+constraints are built once per system; a sub-problem (the consistent
+initialization, the Darcy extension and the inf-sup pairing of ``verify``)
+is a slice of ``H`` / ``E`` on the dofs of some fields, ``CoupledSystem.dofs``,
+with the constraints restricted to them, ``Constraints.restrict``.
 
 ``LUSolver`` factorizes the max-norm row/column equilibration of a matrix
 after condensing out, cell by cell, the unknowns that couple only within
@@ -25,6 +29,7 @@ wrong answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 import scipy.sparse as sp
@@ -330,6 +335,32 @@ class Constraints:
             g[ids] = vals[np.arange(len(points)), comps]
         return g
 
+    def restrict(self, dofs: np.ndarray) -> Constraints:
+        """The constraints on the sorted ``dofs``, renumbered to positions in it.
+
+        A rotated pair must lie wholly inside or wholly outside ``dofs``.
+        """
+        at = _positions(dofs, self.fixed)
+        keep = at >= 0
+        renumber = np.cumsum(keep) - 1          # new place of each kept fixed dof
+        pairs = _positions(dofs, np.array([r[:2] for r in self.rotations], dtype=np.int64).reshape(-1, 2))
+        split = (pairs[:, 0] < 0) != (pairs[:, 1] < 0)
+        if split.any():
+            raise ValueError(f"rotated pair {self.rotations[int(np.argmax(split))][:2]} is split")
+        rotations = [(int(px), int(py), nx, ny)
+                     for (px, py), (_, _, nx, ny) in zip(pairs, self.rotations) if px >= 0]
+        parts = [(renumber[ids[k]], fn, points[k], comps[k])
+                 for ids, fn, points, comps in self._value_parts if (k := keep[ids]).any()]
+        return Constraints(rotations=rotations, fixed=at[keep], _value_parts=parts)
+
+
+def _positions(dofs: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Positions of ``ids`` in the sorted ``dofs``, -1 where absent."""
+    pos = np.searchsorted(dofs, ids)
+    hit = pos < len(dofs)
+    hit[hit] = dofs[pos[hit]] == ids[hit]
+    return np.where(hit, pos, -1)
+
 
 def _boundary_nodes(space: FESpace, tags):
     """Node entities (plus per-node averaged outward normals) on tagged edges."""
@@ -356,16 +387,27 @@ def _boundary_nodes(space: FESpace, tags):
 
 
 def build_constraints(spaces: dict, offsets: dict, bcs: list) -> Constraints:
+    """The essential conditions ``bcs`` on the fields at ``offsets``.
+
+    ``ValueError`` for a condition that cannot take effect: one on a field
+    without a space at an offset, a ``FluxBC`` on a field that is not
+    Raviart-Thomas, or a ``DirichletBC`` on one that is not vector Lagrange.
+    """
     full: dict[int, tuple] = {}       # dof_x -> (dof_y, point, fn)
     normal: dict[int, tuple] = {}     # dof_x -> (dof_y, normals list)
     flux_fixed: list[int] = []
 
     for bc in bcs:
-        if bc.field not in offsets:
-            continue
+        if bc.field not in offsets or bc.field not in spaces:
+            raise ValueError(f"{type(bc).__name__} on field {bc.field!r}, which has no space in the layout")
         off = offsets[bc.field]
         space = spaces[bc.field]
-        if isinstance(bc, FluxBC):
+        flux = isinstance(bc, FluxBC)
+        if (space.rt_order is not None) != flux or not space.vector:
+            needs = "Raviart-Thomas" if flux else "vector Lagrange"
+            raise ValueError(f"{type(bc).__name__} on field {bc.field!r} of family "
+                             f"{space.family}: needs a {needs} field")
+        if flux:
             eids = space.mesh.bedge_edge_ids()[space.mesh.boundary_edge_ids(bc.tags)]
             flux_fixed.extend((off + space.edge_dofs(eids)).ravel().tolist())
             continue
@@ -417,8 +459,8 @@ class ConstrainedOperator:
 
     The constrained node pairs are rotated once, the dofs split into free and
     fixed, and the free block factorized (unless ``factorize`` is false).
-    ``interior`` lists ``(m, k)`` arrays of cell-interior dofs in global
-    numbering, one row per cell; they must all be free, and ``LUSolver``
+    ``interior`` lists ``(m, k)`` arrays of cell-interior dofs in the
+    numbering of ``A``, one row per cell; they must all be free, and ``LUSolver``
     condenses them out cell by cell.  A cell's set must have an invertible
     diagonal block to be condensed: the RT1 interior moments with the P1dc
     pore pressure do when the storage term ``s0 > 0`` fills the pressure
@@ -499,14 +541,9 @@ class CoupledSystem:
         self.data = dict(data or {})
         assembly.check_load_data(self.data)
 
-        self.sizes = {name: spaces[name].n_dofs for name in ("uf", "up", "eta", "pf", "pp")}
-        self.sizes["lam"] = L.n_dofs
-        self.offsets = {}
-        off = 0
-        for name in FIELDS:
-            self.offsets[name] = off
-            off += self.sizes[name]
-        self.n_dofs = off
+        self.sizes = {name: (L if name == "lam" else spaces[name]).n_dofs for name in FIELDS}
+        self.offsets = dict(zip(FIELDS, accumulate(self.sizes.values(), initial=0)))
+        self.n_dofs = sum(self.sizes.values())
 
         squad = segment_quadrature(pairing, assembly.INTERFACE_QUAD_DEGREE)
         b = {}
@@ -521,7 +558,6 @@ class CoupledSystem:
         b["Bf"], b["Bp"], b["Be"] = assembly.assemble_bgamma(
             pairing, spaces["uf"], spaces["up"], spaces["eta"], L, squad)
         self.blocks = b
-        self._check_block_dims()
 
         alpha = params.alpha
         self.E = _bmat_fields([
@@ -551,23 +587,14 @@ class CoupledSystem:
         self.M_ff, self.lu = self.op.A_ff, self.op.lu
         self._loads = None
 
-    def _check_block_dims(self) -> None:
-        shapes = {
-            "Af": ("uf", "uf"), "Ap": ("up", "up"), "Ae": ("eta", "eta"),
-            "Mp": ("pp", "pp"), "Df": ("pf", "uf"), "Dp": ("pp", "up"),
-            "Dep": ("pp", "eta"), "Mff": ("uf", "uf"), "Mfe": ("uf", "eta"),
-            "Mee": ("eta", "eta"), "Bf": ("lam", "uf"), "Bp": ("lam", "up"),
-            "Be": ("lam", "eta"),
-        }
-        for name, (r, c) in shapes.items():
-            got = self.blocks[name].shape
-            want = (self.sizes[r], self.sizes[c])
-            if got != want:
-                raise ValueError(f"block {name} has shape {got}, expected {want}")
-
     def interior_dofs(self, names) -> np.ndarray:
         """(m, k) cell-interior dofs of the fields ``names``, global numbering."""
         return np.hstack([self.offsets[n] + self.spaces[n].interior_dofs() for n in names])
+
+    def dofs(self, names) -> np.ndarray:
+        """Global ids of the dofs of the fields ``names``, in ``FIELDS`` order."""
+        return np.concatenate([self.offsets[n] + np.arange(self.sizes[n])
+                               for n in sorted(names, key=FIELDS.index)])
 
     # -- field views ---------------------------------------------------------
 
@@ -615,39 +642,20 @@ class CoupledSystem:
         return state
 
     def _consistent_initialize(self, state: TransientState, eta_dot0) -> None:
-        b = self.blocks
+        """Solve the rows of the algebraic fields (u_f, u_p, p_f, lambda) of
+        H X + E X' = L(0) for them, given p_p, eta and eta' = ``eta_dot0``."""
         if eta_dot0 is None:
             etad = np.zeros(self.sizes["eta"])
         else:
             etad = nodal_interpolate(self.spaces["eta"], eta_dot0)
-        sizes = {n: self.sizes[n] for n in ("uf", "up", "pf", "lam")}
-        offs, off = {}, 0
-        for n in ("uf", "up", "pf", "lam"):
-            offs[n] = off
-            off += sizes[n]
-        A = _bmat_fields([
-            [b["Af"] + b["Mff"], None, -b["Df"].T, b["Bf"].T],
-            [None, b["Ap"], None, b["Bp"].T],
-            [b["Df"], None, None, None],
-            [-b["Bf"], -b["Bp"], None, None],
-        ], sizes)
-        cons = build_constraints(self.spaces, {"uf": offs["uf"], "up": offs["up"]},
-                                 [bc for bc in self.bcs if bc.field in ("uf", "up")])
+        S = self.dofs(("uf", "up", "pf", "lam"))
+        cons = self.constraints.restrict(S)
         # factorize before the first load, so that the quadrature cache the
         # load fills grows after the factorization's memory peak, not during it
-        interior = [offs[n] + self.spaces[n].interior_dofs() for n in ("uf", "up")]
-        op = ConstrainedOperator(A, cons, interior=interior)
-        L0 = self.load(0.0)
-        pp0 = self.view(state.X, "pp")
-        rhs = np.concatenate([
-            self.view(L0, "uf") + b["Mfe"] @ etad,
-            self.view(L0, "up") + b["Dp"].T @ pp0,
-            self.view(L0, "pf"),
-            b["Be"] @ etad,
-        ])
-        x = op.solve(rhs, cons.values(0.0))
-        for n in ("uf", "up", "pf", "lam"):
-            self.view(state.X, n)[:] = x[offs[n]:offs[n] + sizes[n]]
+        interior = [np.searchsorted(S, self.interior_dofs((n,))) for n in ("uf", "up")]
+        op = ConstrainedOperator(self.H[S][:, S], cons, interior=interior)
+        rhs = self.load(0.0) - self.H @ state.X - self.E @ self.pack(eta=etad)
+        state.X[S] = op.solve(rhs[S], cons.values(0.0))
 
     # -- stepping ---------------------------------------------------------------
 
@@ -681,16 +689,20 @@ class CoupledSystem:
 
 
 def _bmat_fields(rows, sizes: dict) -> sp.csr_matrix:
-    names = [n for n in FIELDS if n in sizes]
+    """The block matrix of ``rows``, one row and column of blocks per field
+    in ``FIELDS`` order, of the ``sizes``; ``ValueError`` for a block whose
+    shape does not match its two fields."""
     fixed_rows = []
-    for i, row in enumerate(rows):
+    for row_name, row in zip(FIELDS, rows):
         fixed = []
-        for j, blk in enumerate(row):
-            if blk is None and i == j:
+        for col_name, blk in zip(FIELDS, row):
+            want = (sizes[row_name], sizes[col_name])
+            if blk is None and row_name == col_name:
                 # keep the diagonal structurally present so bmat infers sizes
-                fixed.append(sp.csr_matrix((sizes[names[i]], sizes[names[j]])))
-            else:
-                fixed.append(blk)
+                blk = sp.csr_matrix(want)
+            elif blk is not None and blk.shape != want:
+                raise ValueError(f"block ({row_name}, {col_name}) has shape {blk.shape}, expected {want}")
+            fixed.append(blk)
         fixed_rows.append(fixed)
     return sp.bmat(fixed_rows, format="csr")
 

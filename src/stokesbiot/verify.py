@@ -27,8 +27,7 @@ from .interface import common_refinement
 from .manufactured import ManufacturedSolution, derive_sources, example1_solution, verification_params
 from .mesh import build_structured
 from .quadrature import triangle_rule
-from .solver import (ConstrainedOperator, CoupledSystem, DirichletBC, FluxBC, TransientState,
-                     build_constraints, run_transient)
+from .solver import ConstrainedOperator, CoupledSystem, DirichletBC, TransientState, run_transient
 from .spaces import FESpace, make_space
 
 # norm key: (field, its exact gradient for the H1 seminorm or None, time norm)
@@ -383,17 +382,13 @@ def discrete_energy(system: CoupledSystem, state: TransientState) -> float:
 def _darcy_extension(system: CoupledSystem, mu: np.ndarray) -> np.ndarray:
     """Darcy velocities u*(mu) of the mixed extension with Dirichlet data mu.
 
-    ``mu`` is (n_lam,) or (n_lam, k); the system's flux constraints apply.
+    ``mu`` is (n_lam,) or (n_lam, k).  The operator is the (u_p, p_p) block
+    of the system's ``H``, with the system's constraints on those fields.
     """
-    b = system.blocks
-    nu = system.sizes["up"]
-    A = sp.bmat([[b["Ap"], -b["Dp"].T], [b["Dp"], None]], format="csr")
-    cons = build_constraints(system.spaces, {"up": 0},
-                             [bc for bc in system.bcs if isinstance(bc, FluxBC) and bc.field == "up"])
-    op = ConstrainedOperator(A, cons)
-    rhs = np.zeros((op.n,) + mu.shape[1:])
-    rhs[:nu] = -(b["Bp"].T @ mu)
-    return op.solve(rhs)[:nu]
+    S = system.dofs(("up", "pp"))
+    op = ConstrainedOperator(system.H[S][:, S], system.constraints.restrict(S))
+    rhs = -(system.H[S][:, system.dofs(("lam",))] @ mu)
+    return op.solve(rhs)[:system.sizes["up"]]
 
 
 def multiplier_seminorm(mu_coeffs: np.ndarray, system: CoupledSystem) -> float:
@@ -439,16 +434,11 @@ def inf_sup_estimate(system: CoupledSystem) -> float:
 
     beta_h = min over (w, mu) of max over (v, xi) of
     [b(v, xi; w) + b_Gamma(v, xi; mu)] / (|(v, xi)|_{V x X} |(w, mu)|_{W x L}).
+    The pairing is the (W, V) block of the system's ``H + E``, up to sign.
     Dense computation, intended for coarse diagnostic meshes.
     """
-    b = system.blocks
-    alpha = system.params.alpha
-    nv = system.sizes["uf"] + system.sizes["up"] + system.sizes["eta"]
-    B = sp.bmat([
-        [-b["Df"], None, None],
-        [None, -b["Dp"], -alpha * b["Dep"]],
-        [b["Bf"], b["Bp"], b["Be"]],
-    ], format="csr")
+    V, W = system.dofs(("uf", "up", "eta")), system.dofs(("pf", "pp", "lam"))
+    B = (system.H + system.E)[W][:, V]
     G_V = sp.block_diag([
         vector_h1_gram(system.spaces["uf"]),
         hdiv_gram(system.spaces["up"]),
@@ -462,12 +452,10 @@ def inf_sup_estimate(system: CoupledSystem) -> float:
                          mass_matrix(system.spaces["pp"]).toarray(), G_lam)
 
     # restrict the velocity/displacement side to essentially free dofs
-    offs = {"uf": 0, "up": system.sizes["uf"], "eta": system.sizes["uf"] + system.sizes["up"]}
-    cons = build_constraints(system.spaces, offs,
-                             [bc for bc in system.bcs if bc.field in offs])
+    cons = system.constraints.restrict(V)
     if cons.rotations:
         raise ValueError("inf-sup estimate requires plain (unrotated) constraints")
-    free = cons.free(nv)
+    free = cons.free(len(V))
     Bf = B[:, free].toarray()
     GVf = G_V[free][:, free].toarray()
     A = Bf @ dla.solve(GVf, Bf.T, assume_a="pos")

@@ -14,13 +14,10 @@ regression (error above the reference band, or rate below it); the measured
 values are printed either way.
 """
 
-import math
-
 import numpy as np
 import pytest
 import sympy as sym
 
-from stokesbiot.manufactured import example1_solution
 from stokesbiot.verify import (HIGH_ORDER, LOW_ORDER, NORM_KEYS, UNSTABLE_CONTROL,
                                convergence_study, discrete_energy, example1_system,
                                inf_sup_estimate, patch_test)

@@ -10,7 +10,7 @@ from stokesbiot.assembly import (PhysicalParams, Separable, assemble_bgamma, ass
                                  assemble_elasticity, assemble_loads,
                                  assemble_stokes_viscous, constant, darcy_pressure_load,
                                  make_multiplier_space)
-from stokesbiot.interface import common_refinement, segment_quadrature
+from stokesbiot.interface import common_refinement
 from stokesbiot.mesh import build_structured
 from stokesbiot.spaces import make_space, rt_interpolate
 

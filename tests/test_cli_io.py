@@ -123,8 +123,6 @@ stride = 5
 
 
 def test_parse_config_missing_time_section_defaults(tmp_path):
-    from dataclasses import replace
-
     from stokesbiot.config import apply_overrides
     from stokesbiot.scenarios import example2_config
 

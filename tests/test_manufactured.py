@@ -2,7 +2,6 @@
 conditions; sources are gated by a finite-difference residual oracle."""
 
 import numpy as np
-import pytest
 
 from stokesbiot.manufactured import derive_sources, example1_solution, verification_params
 

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from stokesbiot.assembly import PhysicalParams, Separable
+from stokesbiot.assembly import Separable
 from stokesbiot.manufactured import example1_solution, verification_params
-from stokesbiot.solver import (REFINE_TOL, ConstrainedOperator, DirichletBC, LUSolver,
-                               SingularMatrixError, TransientState, run_transient)
+from stokesbiot.solver import (FIELDS, REFINE_TOL, ConstrainedOperator, DirichletBC, FluxBC,
+                               LUSolver, SingularMatrixError, TransientState, _bmat_fields,
+                               build_constraints, run_transient)
 from stokesbiot.verify import HIGH_ORDER, LOW_ORDER, example1_system, run_example1
 
 
@@ -148,13 +149,18 @@ def test_lu_rejects_nonsquare():
 # constrained operator
 
 
-@pytest.fixture(scope="module")
-def slip_problem():
-    """Step matrix with slip walls (rotated node pairs) and nonzero data."""
+def _slip_system():
+    """Example 1 layout with slip walls (rotated node pairs) and nonzero eta data."""
     bcs = [DirichletBC("uf", ("wall",), normal_only=True),
            DirichletBC("eta", ("outer",),
                        value=lambda p, t: np.column_stack([1.0 + p[:, 0], t * p[:, 1]]))]
-    system = example1_system(4, LOW_ORDER, data_override={}, bcs_override=bcs, factorize=False)
+    return example1_system(4, LOW_ORDER, data_override={}, bcs_override=bcs, factorize=False)
+
+
+@pytest.fixture(scope="module")
+def slip_problem():
+    """Step matrix with slip walls (rotated node pairs) and nonzero data."""
+    system = _slip_system()
     cons = system.constraints
     assert cons.rotations
     R = cons.rotation(system.n_dofs)
@@ -195,6 +201,119 @@ def test_constrained_2d_rhs_matches_columns(slip_problem):
     for j in range(rhs.shape[1]):
         x = op.solve(rhs[:, j], G[:, j])
         assert np.abs(X[:, j] - x).max() <= 1e-12 * np.abs(x).max()
+
+
+# ---------------------------------------------------------------------------
+# boundary conditions and block layout
+
+
+@pytest.mark.parametrize("bc,elements,message", [
+    (DirichletBC("eta_p", ("outer",)), LOW_ORDER, "'eta_p'"),
+    (DirichletBC("lam", ("interface",)), LOW_ORDER, "'lam'"),
+    (FluxBC("uf", ("wall",)), HIGH_ORDER, "'uf' of family VecP2"),
+    (DirichletBC("up", ("outer",)), LOW_ORDER, "'up' of family RT0"),
+    (DirichletBC("pf", ("wall",)), LOW_ORDER, "'pf' of family P1"),
+], ids=["unknown-field", "multiplier", "flux-on-VecP2", "dirichlet-on-RT0", "dirichlet-on-P1"])
+def test_bc_that_cannot_take_effect_is_rejected(bc, elements, message):
+    with pytest.raises(ValueError, match=message):
+        example1_system(4, elements, data_override={}, bcs_override=[bc], factorize=False)
+
+
+def test_bmat_fields_checks_block_shapes():
+    sizes = dict(zip(FIELDS, (3, 2, 2, 1, 1, 1)))
+    rows = [[None] * len(FIELDS) for _ in FIELDS]
+    rows[3][0] = sp.csr_matrix(np.ones((1, 3)))        # (pf, uf)
+    assert _bmat_fields(rows, sizes).shape == (10, 10)
+    rows[5][2] = sp.csr_matrix(np.ones((1, 3)))        # (lam, eta) must be 1 x 2
+    with pytest.raises(ValueError, match=r"block \(lam, eta\) has shape \(1, 3\), expected \(1, 2\)"):
+        _bmat_fields(rows, sizes)
+
+
+# ---------------------------------------------------------------------------
+# sub-problems as slices of the system
+
+
+def _sub_layout_constraints(system, names):
+    """``build_constraints`` run on the layout of the fields ``names`` alone."""
+    offsets, off = {}, 0
+    for n in FIELDS:
+        if n in names:
+            offsets[n], off = off, off + system.sizes[n]
+    return build_constraints(system.spaces, offsets, [bc for bc in system.bcs if bc.field in names])
+
+
+@pytest.fixture(scope="module", params=["slip", "example2"])
+def bc_system(request):
+    if request.param == "slip":
+        return _slip_system()
+    from stokesbiot.scenarios import build_scenario_system, example2_config
+
+    return build_scenario_system(example2_config(resolution=0.05))
+
+
+@pytest.mark.parametrize("names", [("uf", "up", "pf", "lam"), ("up", "pp"), ("uf", "up", "eta")],
+                         ids=["initialization", "darcy-extension", "inf-sup"])
+def test_restricted_constraints_match_sub_layout(bc_system, names):
+    got = bc_system.constraints.restrict(bc_system.dofs(names))
+    want = _sub_layout_constraints(bc_system, names)
+    assert np.array_equal(got.fixed, want.fixed)
+    assert got.rotations == want.rotations
+    for t in (0.0, 0.37):
+        assert np.array_equal(got.values(t), want.values(t))
+
+
+def test_restrict_rejects_a_split_rotated_pair(slip_problem):
+    _, cons, *_ = slip_problem
+    dx, dy = cons.rotations[0][:2]
+    keep = np.setdiff1d(np.arange(max(dx, dy) + 1), [dy])
+    with pytest.raises(ValueError, match="split"):
+        cons.restrict(keep)
+
+
+@pytest.mark.parametrize("case", ["low-nm-8", "high-8", "slip"])
+def test_initial_state_solves_algebraic_rows(case):
+    """After ``initial_state`` the free rows of (u_f, u_p, p_f, lambda) of
+    H X0 + E X0' = L(0), in the rotated frame, hold to round-off."""
+    ms = example1_solution()
+    if case == "slip":
+        system = _slip_system()
+    else:
+        elements, matching = {"low-nm-8": (LOW_ORDER, False), "high-8": (HIGH_ORDER, True)}[case]
+        system = example1_system(8, elements, matching=matching, factorize=False)
+    state = system.initial_state(pp0=lambda p: ms.pp(p, 0.0), eta0=lambda p: ms.eta(p, 0.0),
+                                 eta_dot0=lambda p: ms.dt_eta(p, 0.0))
+    from stokesbiot.spaces import nodal_interpolate
+
+    Xdot = system.pack(eta=nodal_interpolate(system.spaces["eta"], lambda p: ms.dt_eta(p, 0.0)))
+    S = system.dofs(("uf", "up", "pf", "lam"))
+    terms = [(system.H @ state.X)[S], (system.E @ Xdot)[S], system.load(0.0)[S]]
+    cons = system.constraints.restrict(S)
+    R = cons.rotation(len(S))
+    r = terms[0] + terms[1] - terms[2]
+    r = (r if R is None else R @ r)[cons.free(len(S))]
+    scale = max(np.abs(t).max() for t in terms)
+    assert scale > 0
+    assert np.abs(r).max() <= 1e-12 * scale
+
+
+def test_build_constraints_runs_once_per_system(monkeypatch):
+    import stokesbiot.solver
+    from stokesbiot.verify import inf_sup_estimate, multiplier_seminorm_gram
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build_constraints(*args, **kwargs)
+
+    monkeypatch.setattr(stokesbiot.solver, "build_constraints", counted)
+    ms = example1_solution()
+    system = example1_system(4, LOW_ORDER)
+    system.initial_state(pp0=lambda p: ms.pp(p, 0.0), eta0=lambda p: ms.eta(p, 0.0))
+    assert len(calls) == 1
+    multiplier_seminorm_gram(system)
+    inf_sup_estimate(system)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

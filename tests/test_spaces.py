@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 import sympy as sym
 from hypothesis import given, settings
 from hypothesis import strategies as st
