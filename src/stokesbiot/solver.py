@@ -23,7 +23,10 @@ triangular solve of the smaller Schur complement per application normally
 meets ``REFINE_TOL``; the scaled residual of the full matrix is checked
 every time, one refinement pass is made only when it misses, and a solve
 that still misses raises ``SingularMatrixError`` instead of returning a
-wrong answer.
+wrong answer.  A Schur complement in which all unknowns but a few, such as
+the interface multipliers, have a positive diagonal is factorized in a
+symmetric minimum-degree order with diagonal pivots; any other in SuperLU's
+COLAMD order with partial pivoting.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from .spaces import FESpace, l2_project, nodal_interpolate
 FIELDS = ("uf", "up", "eta", "pf", "pp", "lam")
 REFINE_TOL = 1e-12                # scaled residual that triggers (and must survive) refinement
 INTERIOR_GROWTH_LIMIT = np.finfo(float).eps ** -0.5   # cells condensed only below this growth bound
+SYMMETRIC_ORDER_SHARE = 0.01      # largest share of unknowns without a diagonal for the symmetric order
 
 
 class SingularMatrixError(RuntimeError):
@@ -62,14 +66,25 @@ class LUSolver:
     otherwise).  Each ``k x k`` cell block is scaled by its own row and
     column maxima and decomposed (SVD), batched over the cells, and the Schur
     complement ``S = A_CC - A_CI A_II^-1 A_IC`` on the other unknowns is
-    factorized by SuperLU (threshold partial pivoting, COLAMD ordering).
-    Elimination in this fixed order has no pivoting across cells, so a cell
-    is condensed only if a bound on the entries it adds to ``S`` (its growth,
+    factorized by SuperLU.  When at most ``SYMMETRIC_ORDER_SHARE`` of the
+    unknowns of ``S`` lack a diagonal and every other diagonal entry is
+    positive, as after condensing the low-order Example 1 operators, where
+    only the multipliers lack one, ``S`` is taken as quasi-definite: the kept
+    unknowns are put in a symmetric minimum-degree order with those without a
+    diagonal last (``_symmetric_order``), and ``S`` is factorized in that
+    order with diagonal pivots.  Otherwise SuperLU orders the columns by
+    COLAMD and pivots by threshold partial pivoting.  ``ordering`` tells
+    which (``"symmetric"`` or ``"colamd"``), ``fill`` is the number of
+    entries of ``L`` and ``U``.
+
+    The cells are eliminated without pivoting across cells, so a cell is
+    condensed only if a bound on the entries it adds to ``S`` (its growth,
     in units of ``A``) is below ``INTERIOR_GROWTH_LIMIT``: round-off then
     stays below ``sqrt(eps)``, which one refinement pass repairs.  A singular
     or nearly singular cell block, or a small pivot with large couplings,
     leaves that cell's unknowns in ``S``.  ``interior`` and ``kept`` are the
-    condensed and the other unknowns, ``interior_cond`` and
+    condensed and the other unknowns, the latter in the order of ``S``;
+    ``interior_cond`` and
     ``interior_growth`` the largest condition number (2-norm, scaled) and
     growth of a condensed block.  Without ``interior`` nothing is condensed
     and ``S = A``.
@@ -98,16 +113,32 @@ class LUSolver:
         self.dc = _inv_sqrt_max(absM.max(axis=0), "column")
         A = absM      # reused: the equilibrated matrix D_r M D_c
         A.data = M.data * self.dr[M.indices] * np.repeat(self.dc, np.diff(M.indptr))
-        S = self._condense(A.tocsr(), interior or ())
+        S = self._condense(A.tocsr(), interior or ()).tocsc()
         del A, absM   # not held while factorizing: lowers peak memory
+        options = {}
+        if self._ordering == "symmetric":
+            options = dict(permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                           options={"SymmetricMode": True})
         try:
-            self._fact = spla.splu(S.tocsc())
+            self._fact = spla.splu(S, **options)
         except RuntimeError as exc:
             raise SingularMatrixError(str(exc)) from exc
 
+    @property
+    def ordering(self) -> str:
+        """``"symmetric"`` or ``"colamd"``: the column order ``S`` was factorized in."""
+        return self._ordering
+
+    @property
+    def fill(self) -> int:
+        """Nonzeros of the ``L`` and ``U`` factors of ``S`` (builds both)."""
+        return self._fact.L.nnz + self._fact.U.nnz
+
     def _condense(self, A, interior) -> sp.csr_matrix:
         """Factorize the interior cell blocks of the equilibrated CSR ``A``
-        and return the Schur complement ``S`` on the kept unknowns."""
+        and return the Schur complement ``S`` on the kept unknowns, with
+        ``kept`` and the couplings ``_A_CI``, ``_A_IC`` in the order ``S``
+        is to be factorized in."""
         groups = [b.astype(np.int64) for b in map(np.asarray, interior) if b.size]
         cell = np.full(self.n, -1)     # cell number of each listed unknown
         slot = np.zeros(self.n, dtype=np.int64)   # its place in the cell's block
@@ -163,7 +194,14 @@ class LUSolver:
             self._blocks.append((span, blocks))
             W.append(blocks.solve_sparse(self._A_IC[span]))     # rows of A_II^-1 A_IC
             start = span.stop
-        return rows_C[:, self.kept] - self._A_CI @ sp.vstack(W, format="csr")
+        S = rows_C[:, self.kept] - self._A_CI @ sp.vstack(W, format="csr")
+        del rows_I, rows_C, W     # not held while ordering
+        order = _symmetric_order(S)
+        self._ordering = "colamd" if order is None else "symmetric"
+        if order is None:
+            return S
+        self.kept, self._A_CI, self._A_IC = self.kept[order], self._A_CI[order], self._A_IC[:, order]
+        return S[order][:, order]
 
     def _interior_solve(self, R):
         """``A_II^-1 R`` for (n_I, k) ``R``, cell block by cell block."""
@@ -213,6 +251,35 @@ class LUSolver:
                 f"scaled residual {worst:.2e} above {REFINE_TOL:.0e} after refinement")
         self.max_residual = max(self.max_residual, worst)
         return X.reshape(b.shape)
+
+
+def _symmetric_order(S: sp.csr_matrix) -> np.ndarray | None:
+    """A symmetric fill-reducing order of the equilibrated ``S`` (new
+    position to old unknown), or None when ``S`` does not look quasi-definite.
+
+    An unknown lacks a diagonal when ``|s_jj| <= eps max_i |s_ij|``: round-off
+    left on a multiplier's diagonal must not make it an early pivot.  The
+    order is taken only if at most ``SYMMETRIC_ORDER_SHARE`` of the unknowns
+    lack a diagonal and every other diagonal entry is positive, the sign the
+    blocks of ``CoupledSystem`` give it.  It is SuperLU's multiple minimum
+    degree order of the pattern of ``|S| + |S|^T``, read from an incomplete
+    factorization that drops almost everything, with the unknowns that lack
+    a diagonal moved last; pivots on the diagonal are then safe without
+    threshold pivoting.
+    """
+    n = S.shape[0]
+    d = S.diagonal()
+    missing = np.abs(d) <= np.finfo(float).eps * abs(S).max(axis=0).toarray().ravel()
+    if np.count_nonzero(missing) > SYMMETRIC_ORDER_SHARE * n or np.any(d[~missing] < 0):
+        return None
+    P = sp.csr_matrix((np.ones(S.nnz), S.indices, S.indptr), shape=S.shape)
+    P = (P + P.T + n * sp.identity(n)).tocsc()
+    perm_c = spla.spilu(P, permc_spec="MMD_AT_PLUS_A", drop_tol=0.99, fill_factor=1,
+                        diag_pivot_thresh=0.0, options={"SymmetricMode": True}).perm_c
+    del P
+    order = np.argsort(perm_c)          # perm_c[j] is the new position of unknown j
+    last = missing[order]
+    return np.concatenate([order[~last], order[last]])
 
 
 def _scaled_svd(B: np.ndarray):
@@ -316,11 +383,17 @@ class Constraints:
     def rotation(self, n: int):
         if not self.rotations:
             return None
-        R = sp.identity(n, format="lil")
-        for dx, dy, nx, ny in self.rotations:
-            R[dx, dx], R[dx, dy] = nx, ny
-            R[dy, dx], R[dy, dy] = -ny, nx
-        return R.tocsr()
+        dx, dy = np.array([r[:2] for r in self.rotations], dtype=np.int64).T
+        nx, ny = np.array([r[2:] for r in self.rotations], dtype=float).T
+        rest = np.ones(n, dtype=bool)
+        rest[dx] = rest[dy] = False
+        rest = np.nonzero(rest)[0]
+        rows = np.concatenate([rest, dx, dx, dy, dy])
+        cols = np.concatenate([rest, dx, dy, dx, dy])
+        vals = np.concatenate([np.ones(len(rest)), nx, ny, -ny, nx])
+        R = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        R.eliminate_zeros()     # a zero normal component is no entry
+        return R
 
     def free(self, n: int) -> np.ndarray:
         """Sorted ids of the unconstrained dofs among ``n``."""

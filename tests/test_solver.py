@@ -262,6 +262,22 @@ def test_restricted_constraints_match_sub_layout(bc_system, names):
         assert np.array_equal(got.values(t), want.values(t))
 
 
+def test_rotation_matches_entry_by_entry_build(bc_system, request):
+    cons = bc_system.constraints
+    if request.node.callspec.params["bc_system"] == "example2":
+        assert len(cons.rotations) == 121
+    n = bc_system.n_dofs
+    want = sp.identity(n, format="lil")
+    for dx, dy, nx, ny in cons.rotations:
+        want[dx, dx], want[dx, dy] = nx, ny
+        want[dy, dx], want[dy, dy] = -ny, nx
+    want = want.tocsr()
+    got = cons.rotation(n)
+    assert any(0.0 in r[2:] for r in cons.rotations)     # zero components store no entry
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, attr), getattr(want, attr))
+
+
 def test_restrict_rejects_a_split_rotated_pair(slip_problem):
     _, cons, *_ = slip_problem
     dx, dy = cons.rotations[0][:2]
@@ -671,3 +687,127 @@ def test_no_storage_leaves_pore_pressure_uncondensed():
     assert len(states) == 4
     assert max(d["constraint_residual"] for d in diags) < 1e-9
     assert system.lu.refinements == 0
+
+
+# ---------------------------------------------------------------------------
+# ordering of the condensed factor
+
+
+def _saddle_system(rng, n_u=397, lam_diag=(0.0, 0.0, 0.0), duplicate=False):
+    """``[A -B^T; B C]`` in the sign convention of ``CoupledSystem``: ``A``
+    positive definite, three multipliers touching two unknowns each, ``C``
+    diagonal with ``lam_diag``; ``duplicate`` repeats the second multiplier."""
+    A = sp.diags([-1.0, 4.0, -1.0], [-1, 0, 1], shape=(n_u, n_u))
+    cols = rng.choice(n_u, size=(3, 2), replace=False)
+    B = sp.csr_matrix((rng.uniform(1.0, 2.0, 6), (np.repeat(np.arange(3), 2), cols.ravel())),
+                      shape=(3, n_u))
+    if duplicate:
+        B = sp.vstack([B[:2], B[1]])
+    return sp.bmat([[A, -B.T], [B, sp.diags(lam_diag)]], format="csc")
+
+
+def test_roundoff_multiplier_diagonal_counts_as_missing():
+    # 1e-30 on a multiplier's diagonal is round-off: that unknown is ordered
+    # last with the other multipliers, not pivoted early
+    rng = np.random.default_rng(3)
+    K = _saddle_system(rng, lam_diag=(1e-30, 0.0, 0.0))
+    lu = LUSolver(K)
+    assert lu.ordering == "symmetric"
+    assert np.array_equal(np.sort(lu.kept[-3:]), [397, 398, 399])
+    b = rng.standard_normal(K.shape[0])
+    x = lu.solve(b)
+    assert lu.refinements == 0
+    assert np.abs(x - np.linalg.solve(K.toarray(), b)).max() < 1e-12 * np.abs(x).max()
+
+
+def test_duplicated_multiplier_raises_on_symmetric_path():
+    rng = np.random.default_rng(3)
+    assert LUSolver(_saddle_system(rng)).ordering == "symmetric"
+    K = _saddle_system(np.random.default_rng(3), duplicate=True)
+    with pytest.raises(SingularMatrixError):
+        LUSolver(K).solve(np.ones(K.shape[0]))
+
+
+def test_symmetric_order_needs_few_missing_diagonals_of_one_sign():
+    rng = np.random.default_rng(3)
+    assert LUSolver(_saddle_system(rng, n_u=290)).ordering == "colamd"      # 3 of 293 lack one
+    K = _saddle_system(rng).tolil()
+    K[5, 5] = -K[5, 5]
+    assert LUSolver(K.tocsc()).ordering == "colamd"
+
+
+def _step_and_init_factors(build):
+    """The system ``build()`` makes and the factors of its step and
+    consistent-initialization operators."""
+    made = []
+    init = LUSolver.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(LUSolver, "__init__", spy)
+        system = build()
+        system.initial_state()
+    assert len(made) == 2 and made[0] is system.lu
+    return system, made
+
+
+def _colamd_operator(system, monkeypatch):
+    """The step operator of ``system`` factorized in COLAMD order."""
+    import stokesbiot.solver
+
+    monkeypatch.setattr(stokesbiot.solver, "_symmetric_order", lambda S: None)
+    interior = [system.interior_dofs(("uf",)), system.interior_dofs(("up", "pp"))]
+    op = ConstrainedOperator(system.M, system.constraints, interior=interior)
+    assert np.array_equal(np.sort(op.lu.kept), np.sort(system.lu.kept))
+    return op
+
+
+@pytest.fixture(scope="module")
+def low16_factors():
+    return _step_and_init_factors(lambda: example1_system(16, LOW_ORDER, matching=False))
+
+
+def _example2():
+    from stokesbiot.scenarios import build_scenario_system, example2_config
+
+    return build_scenario_system(example2_config(resolution=0.05))
+
+
+@pytest.mark.parametrize("case,ordering", [("low16", "symmetric"), ("high16", "colamd"),
+                                           ("example2", "colamd")])
+def test_factor_ordering_per_operator(case, ordering, request):
+    if case == "low16":
+        _, factors = request.getfixturevalue("low16_factors")
+    else:
+        build = _example2 if case == "example2" else lambda: example1_system(16, HIGH_ORDER)
+        _, factors = _step_and_init_factors(build)
+    for lu in factors:
+        assert lu.ordering == ordering
+        assert lu.fill == lu._fact.L.nnz + lu._fact.U.nnz > 0
+        with pytest.raises(AttributeError):
+            lu.ordering = "colamd"
+        with pytest.raises(AttributeError):
+            lu.fill = 0
+
+
+def test_symmetric_solve_matches_colamd(low16_factors, monkeypatch):
+    system, _ = low16_factors
+    ref = _colamd_operator(system, monkeypatch)
+    assert ref.lu.ordering == "colamd"
+    B = np.random.default_rng(7).standard_normal((system.n_dofs, 3))
+    X, Y = system.op.solve(B), ref.solve(B)
+    assert X.shape == B.shape
+    assert np.abs(X - Y).max() <= 1e-12 * np.abs(Y).max()
+    assert system.lu.refinements == 0
+
+
+def test_symmetric_order_fill_guard(monkeypatch):
+    # the step factor at h = 1/32 holds 1.59M entries against 3.37M in COLAMD order
+    system = example1_system(32, LOW_ORDER, matching=False)
+    ref = _colamd_operator(system, monkeypatch)
+    assert system.lu.ordering == "symmetric"
+    assert system.lu.fill <= 0.6 * ref.lu.fill
+
