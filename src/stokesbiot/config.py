@@ -15,9 +15,13 @@ import numpy as np
 
 
 class ConfigError(ValueError):
-    def __init__(self, message: str, line: int | None = None):
-        super().__init__(message if line is None else f"line {line}: {message}")
-        self.line = line
+    """A user input that cannot take effect, with the file and line that
+    hold it when known; the command line exits 1 on it."""
+
+    def __init__(self, message: str, line: int | None = None, path=None):
+        where = ([] if path is None else [str(path)]) + ([] if line is None else [f"line {line}"])
+        super().__init__(": ".join(where + [message]))
+        self.line, self.path = line, path
 
 
 _SCHEMA = {

@@ -96,21 +96,6 @@ P1BUBBLE = ScalarElement("P1bubble", 3, 1, 0, 1, True, None, _tab_p1bubble)
 SCALAR_ELEMENTS = {e.name: e for e in (P0, P1, P1DC, P2, P1BUBBLE)}
 
 
-def _check_in_reference(points, tol=1e-12):
-    l0, l1, l2 = _bary(np.atleast_2d(points))
-    if np.min([l0.min(), l1.min(), l2.min()]) < -tol:
-        raise ValueError("point outside the reference triangle")
-
-
-def eval_basis(family: str, points: np.ndarray):
-    """Reference-element basis values and gradients at ``points``."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    _check_in_reference(points)
-    if family not in SCALAR_ELEMENTS:
-        raise ValueError(f"unknown element family {family!r}")
-    return SCALAR_ELEMENTS[family].tabulate(points)
-
-
 # ---------------------------------------------------------------------------
 # Raviart-Thomas monomials
 #

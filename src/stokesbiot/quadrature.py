@@ -22,10 +22,6 @@ class QuadratureRule:
     weights: np.ndarray
     degree: int
 
-    @property
-    def n_points(self) -> int:
-        return len(self.weights)
-
 
 def _gauss01(n: int):
     # Gauss-Legendre on [0, 1]

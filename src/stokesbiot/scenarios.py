@@ -23,10 +23,9 @@ from .solver import CoupledSystem, DirichletBC, FluxBC, run_transient
 from .spaces import make_space
 
 
-class RasterParseError(ValueError):
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
+class RasterParseError(ConfigError):
+    """Raised for malformed raster files; carries the path and the offending
+    line number."""
 
 
 @dataclass
@@ -74,22 +73,22 @@ def read_raster(path) -> RasterField:
     with open(path) as f:
         lines = f.read().split("\n")
     if not lines or lines[0].split() != ["raster", "1"]:
-        raise RasterParseError("bad header", 1)
+        raise RasterParseError("bad header", 1, path)
     try:
         parts = lines[1].split()
         nx, ny = int(parts[0]), int(parts[1])
         x0, y0, dx, dy = map(float, parts[2:6])
     except (ValueError, IndexError):
-        raise RasterParseError("bad size line", 2) from None
+        raise RasterParseError("bad size line", 2, path) from None
     flat = []
     for ln, line in enumerate(lines[2:], start=3):
         for tok in line.split():
             try:
                 flat.append(float(tok))
             except ValueError:
-                raise RasterParseError(f"bad value {tok!r}", ln) from None
+                raise RasterParseError(f"bad value {tok!r}", ln, path) from None
     if len(flat) != nx * ny:
-        raise RasterParseError(f"expected {nx * ny} values, found {len(flat)}", len(lines))
+        raise RasterParseError(f"expected {nx * ny} values, found {len(flat)}", len(lines), path)
     field = RasterField(nx=nx, ny=ny, x0=x0, y0=y0, dx=dx, dy=dy,
                         values=np.array(flat).reshape(ny, nx))
     field.validate()

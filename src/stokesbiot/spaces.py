@@ -396,33 +396,3 @@ def nodal_interpolate(space: FESpace, f) -> np.ndarray:
             raise ValueError("vector space needs vector-valued data")
         return fx[np.arange(len(pts)), comp]
     return fx.reshape(-1)
-
-
-def rt_interpolate(space: FESpace, f) -> np.ndarray:
-    """Edge-moment (and interior-moment) interpolation onto an RT space."""
-    mesh = space.mesh
-    eq = edge_rule(7)
-    ends = mesh.nodes[mesh.edges]          # (ne, 2, 2), sorted endpoints
-    A, B = ends[:, 0], ends[:, 1]
-    t = B - A
-    L = np.linalg.norm(t, axis=1)
-    n = np.column_stack([t[:, 1], -t[:, 0]]) / L[:, None]
-    pts = A[:, None, :] + eq.points[None, :, None] * t[:, None, :]
-    fx = np.asarray(f(pts.reshape(-1, 2))).reshape(pts.shape)
-    fn = np.einsum("eqd,ed->eq", fx, n)
-    out = np.zeros(space.n_dofs)
-    flux0 = (fn * eq.weights[None, :]).sum(axis=1) * L
-    if space.rt_order == 0:
-        out[: len(mesh.edges)] = flux0
-        return out
-    out[0::2][: len(mesh.edges)] = flux0
-    mom = eq.weights * (2.0 * eq.points - 1.0)
-    out[1::2][: len(mesh.edges)] = (fn * mom[None, :]).sum(axis=1) * L
-    geo = space.geometry
-    p, w = geo.quadrature(triangle_rule(5))
-    fx = np.asarray(f(p.reshape(-1, 2))).reshape(p.shape)
-    mean = np.einsum("mqd,mq->md", fx, w) / geo.areas[:, None]
-    ne = len(mesh.edges)
-    out[2 * ne + 0::2] = mean[:, 0]
-    out[2 * ne + 1::2] = mean[:, 1]
-    return out

@@ -67,18 +67,6 @@ def write_vtk(path, mesh: Mesh2D, point_data: dict | None = None,
         write_section("CELL_DATA", mesh.n_tris, cell_data)
 
 
-def read_vtk_points(path) -> np.ndarray:
-    """Re-parse the coordinates written by ``write_vtk`` (round-trip checks)."""
-    with open(path) as f:
-        lines = f.read().splitlines()
-    for i, line in enumerate(lines):
-        if line.startswith("POINTS"):
-            n = int(line.split()[1])
-            pts = [tuple(map(float, lines[i + 1 + k].split())) for k in range(n)]
-            return np.array(pts)[:, :2]
-    raise ValueError("no POINTS section found")
-
-
 def convergence_csv(table) -> str:
     """CSV with the five tracked error norms and their observed rates."""
     from .verify import NORM_KEYS

@@ -12,7 +12,9 @@ from stokesbiot.assembly import (PhysicalParams, Separable, assemble_bgamma, ass
                                  make_multiplier_space)
 from stokesbiot.interface import common_refinement
 from stokesbiot.mesh import build_structured
-from stokesbiot.spaces import make_space, rt_interpolate
+from stokesbiot.spaces import make_space
+
+from helpers import rt_interpolate
 
 X, Y = sym.symbols("x y")
 TAGS = {"left": "left", "right": "right", "bottom": "bottom", "top": "top"}

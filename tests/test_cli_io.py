@@ -12,7 +12,9 @@ from stokesbiot.cli import cli
 from stokesbiot.config import ConfigError, parse_config, parse_set_pairs
 from stokesbiot.mesh import Mesh2D, build_structured, read_mesh
 from stokesbiot.verify import NORM_KEYS
-from stokesbiot.vtkio import CSV_HEADER, convergence_csv, read_vtk_points, write_vtk
+from stokesbiot.vtkio import CSV_HEADER, convergence_csv, write_vtk
+
+from helpers import read_vtk_points
 
 TAGS = {"left": "left", "right": "right", "bottom": "bottom", "top": "top"}
 
@@ -390,6 +392,21 @@ def test_cli_runtime_error_exit_code(tmp_path):
     # fracture resolution too coarse -> runtime failure, exit 2
     rc = cli(["run", "--scenario", "example2", "--resolution", "2.0", "--out", str(tmp_path)])
     assert rc == 2
+
+
+def test_cli_malformed_raster_is_usage_error(tmp_path, capsys):
+    from stokesbiot.scenarios import synthetic_spe_standin, write_raster
+
+    poro, perm = tmp_path / "porosity.raster", tmp_path / "permeability.raster"
+    for field, path in zip(synthetic_spe_standin(nx=6, ny=10), (poro, perm)):
+        write_raster(field, path)
+    lines = poro.read_text().split("\n")
+    lines[3] = "zz " + lines[3]
+    poro.write_text("\n".join(lines))
+    rc = cli(["run", "--scenario", "example3", "--resolution", "0.2", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert str(poro) in err and "line 4" in err and "'zz'" in err
 
 
 def test_cli_diag_energy(capsys):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from stokesbiot.elements import eval_basis
 from stokesbiot.mesh import Mesh2D
 from stokesbiot.quadrature import edge_rule, triangle_rule
 from stokesbiot.spaces import make_space
+
+from helpers import eval_basis
 
 VERTS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 MIDS = np.array([[0.5, 0.5], [0.0, 0.5], [0.5, 0.0]])

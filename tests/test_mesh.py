@@ -191,6 +191,15 @@ def test_read_index_out_of_range(tmp_path):
     assert "line 6" in str(err.value)
 
 
+def test_read_error_names_file_and_line(tmp_path):
+    path = tmp_path / "bad.mesh"
+    path.write_text("mesh2d 1\n3 1 0\n0 0\n1 0\n0 1\n0 1 x poro\n")
+    with pytest.raises(MeshParseError) as err:
+        read_mesh(path)
+    assert err.value.path == path
+    assert str(err.value).startswith(f"{path}: line 6: ")
+
+
 def test_read_nonfinite_coordinate(tmp_path):
     path = tmp_path / "nan.mesh"
     path.write_text("mesh2d 1\n3 1 0\n0 0\nnan 0\n0 1\n0 1 2 poro\n")

@@ -6,8 +6,10 @@ from stokesbiot.assembly import Separable
 from stokesbiot.manufactured import example1_solution, verification_params
 from stokesbiot.solver import (FIELDS, REFINE_TOL, ConstrainedOperator, DirichletBC, FluxBC,
                                LUSolver, SingularMatrixError, TransientState, _bmat_fields,
-                               build_constraints, run_transient)
+                               _CellBlocks, _scaled_svd, build_constraints, run_transient)
 from stokesbiot.verify import HIGH_ORDER, LOW_ORDER, example1_system, run_example1
+
+from helpers import rt_interpolate
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +147,15 @@ def test_lu_rejects_nonsquare():
         LUSolver(sp.csc_matrix(np.ones((3, 4))))
 
 
+def test_lu_with_every_unknown_condensed():
+    # nothing is left for SuperLU: the cell solves alone give the answer
+    lu = LUSolver(sp.diags([2.0, 3.0, 4.0, 5.0]), interior=[[[0, 1], [2, 3]]])
+    assert len(lu.kept) == 0 and lu.fill == 0
+    B = np.column_stack([np.ones(4), np.arange(4.0)])
+    assert np.allclose(lu.solve(B), B / np.array([2.0, 3.0, 4.0, 5.0])[:, None], rtol=1e-15)
+    assert lu.refinements == 0
+
+
 # ---------------------------------------------------------------------------
 # constrained operator
 
@@ -193,6 +204,25 @@ def test_constrained_reaction_on_fixed_rows_only(slip_problem):
     react = R @ op.reaction(r)
     assert np.abs(react[free]).max() <= 1e-14 * np.abs(r).max()
     assert np.abs(react[cons.fixed] - (R @ r)[cons.fixed]).max() <= 1e-14 * np.abs(r).max()
+
+
+def _reaction_reference(system, cur, prev):
+    """``op.reaction`` of the full residual ``M X - L(t) - E X_prev / tau``."""
+    r = system.M @ cur.X - system.load(cur.t) - (system.E @ prev.X) / system.tau
+    return system.op.reaction(r)
+
+
+def test_system_reaction_from_constrained_rows_slip():
+    # rotated node pairs; the identity is algebraic, so any states will do
+    system = _slip_system()
+    rng = np.random.default_rng(4)
+    prev, cur = (TransientState(X=rng.standard_normal(system.n_dofs), n=n, tau=system.tau)
+                 for n in (0, 1))
+    want = _reaction_reference(system, cur, prev)
+    got = system.reaction(cur, prev)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    free = system.constraints.free(system.n_dofs)
+    assert np.all((system.op.R @ got)[free] == 0.0)
 
 
 def test_constrained_2d_rhs_matches_columns(slip_problem):
@@ -475,6 +505,42 @@ def test_energy_identity_detects_perturbation(example1_run):
     assert energy_identity_residual(system, bad, prev) > 1e-6
 
 
+def test_system_reaction_from_constrained_rows_example1(example1_run):
+    system, states, _ = example1_run
+    for prev, cur in zip(states[:-1], states[1:]):
+        want = _reaction_reference(system, cur, prev)
+        assert np.abs(system.reaction(cur, prev) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_energy_identity_recomputes_writable_state(example1_run):
+    from stokesbiot.verify import energy_identity_residual
+
+    system, states, _ = example1_run
+    prev, cur = states[-2], states[-1]
+    assert not cur.X.flags.writeable
+    carried = [energy_identity_residual(system, cur, prev) for _ in range(2)]
+    assert carried[0] == carried[1] and cur.carried is not None
+    # the same values in writable states: nothing is carried, the residual
+    # is bit-identical to the carried one
+    fresh_prev, fresh = (TransientState(X=s.X.copy(), n=s.n, tau=s.tau) for s in (prev, cur))
+    assert energy_identity_residual(system, fresh, fresh_prev) == carried[0]
+    assert fresh.carried is None and fresh_prev.carried is None
+    # a change after the first call is seen by the second, which equals the
+    # residual of a new state holding the changed values
+    system.view(fresh.X, "pp")[:] *= 1.0 + 1e-3
+    changed = energy_identity_residual(system, fresh, fresh_prev)
+    new = TransientState(X=fresh.X.copy(), n=cur.n, tau=cur.tau)
+    assert changed > 1e-6 and changed == energy_identity_residual(system, new, fresh_prev)
+
+
+def test_step_states_and_loads_are_read_only(example1_run):
+    system, states, _ = example1_run
+    assert all(not s.X.flags.writeable for s in states[1:])
+    L = system.load(states[-1].t)
+    assert system.load(states[-1].t) is L and not L.flags.writeable
+    assert system.load(0.0) is not L
+
+
 def test_factorization_reuse_identical(example1_run):
     system, states, _ = example1_run
     ms = example1_solution()
@@ -497,8 +563,6 @@ def test_consistent_initialization(example1_run):
     res = b["Ap"] @ up0 - b["Dp"].T @ pp0 + b["Bp"].T @ lam0 - system.view(L0, "up")
     assert np.abs(res).max() < 1e-9 * max(1.0, np.abs(up0).max())
     # compares with the exact Darcy velocity at t = 0 (first-order accurate)
-    from stokesbiot.spaces import rt_interpolate
-
     up_exact = rt_interpolate(system.spaces["up"], lambda p: ms.up(p, 0.0))
     rel = np.abs(up0 - up_exact).max() / np.abs(up_exact).max()
     assert rel < 0.2
@@ -578,6 +642,21 @@ def test_condensed_lu_matches_oracle_on_both_paths():
     assert lu.refinements == 0
     assert np.abs(x - x_star).max() < 1e-10 * np.abs(x_star).max()
     assert _scaled_residual(lu, A, b, x) <= REFINE_TOL
+
+
+def test_sparse_cell_solve_matches_batched_matmul():
+    rng = np.random.default_rng(15)
+    m, k = 40, 5
+    B = rng.standard_normal((m, k, k)) * np.logspace(-3, 3, k)[rng.permutation(k)]
+    R = rng.standard_normal((m * k, 3))
+    factors = _scaled_svd(B)
+    r, c, Ut, s, V = factors
+    Y = np.matmul(Ut, R.reshape(m, k, -1) * r[:, :, None]) / s[:, :, None]
+    want = (np.matmul(V, Y) * c[:, :, None]).reshape(R.shape)
+    got = _CellBlocks(*factors).solve(R)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    assert np.allclose(np.einsum("mij,mjn->min", B, got.reshape(m, k, -1)), R.reshape(m, k, -1),
+                       rtol=0, atol=1e-10 * np.abs(R).max())
 
 
 def test_condensation_rejects_coupled_cells():

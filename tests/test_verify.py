@@ -12,8 +12,9 @@ from stokesbiot.manufactured import ManufacturedSolution, example1_solution
 from stokesbiot.solver import TransientState
 from stokesbiot.verify import (HIGH_ORDER, LOW_ORDER, NORM_FIELDS, NORM_KEYS, UNSTABLE_CONTROL,
                                _norm_rule, error_norms, example1_system, inf_sup_estimate,
-                               multiplier_seminorm, multiplier_seminorm_gram, patch_test,
-                               run_example1)
+                               multiplier_seminorm_gram, patch_test, run_example1)
+
+from helpers import multiplier_seminorm
 
 
 @pytest.fixture(scope="module")
