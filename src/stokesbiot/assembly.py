@@ -58,11 +58,7 @@ class PhysicalParams:
     def K_cells(self, m: int) -> np.ndarray:
         """Per-cell permeability tensors, shape (m, 2, 2)."""
         K = np.asarray(self.K, dtype=float)
-        if K.ndim == 0:
-            out = np.zeros((m, 2, 2))
-            out[:, 0, 0] = out[:, 1, 1] = K
-            return out
-        if K.ndim == 1:                      # per-cell isotropic
+        if K.ndim <= 1:                      # scalar or per-cell isotropic
             out = np.zeros((m, 2, 2))
             out[:, 0, 0] = out[:, 1, 1] = K
             return out

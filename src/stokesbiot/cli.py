@@ -126,19 +126,19 @@ def _cmd_run(args) -> int:
             if case not in {"A", "B", "C", "D"}:
                 raise SystemExit(f"unknown sensitivity case {case!r}")
             cases = (case,)
-        configs = [sensitivity_configs(args.resolution)[c] for c in cases]
+        configs = {c: cfg for c, cfg in sensitivity_configs(args.resolution).items() if c in cases}
     elif name == "example2":
-        configs = [example2_config(resolution=args.resolution)]
+        configs = {name: example2_config(resolution=args.resolution)}
     elif name == "example3":
-        configs = [example3_config(porosity_raster=poro, permeability_raster=perm,
-                                   resolution=args.resolution)]
+        configs = {name: example3_config(porosity_raster=poro, permeability_raster=perm,
+                                         resolution=args.resolution)}
     else:
         raise SystemExit(f"unknown scenario {args.scenario!r}")
-    configs = [apply_overrides(config, sections, sets) for config in configs]
+    configs = {c: apply_overrides(config, sections, sets) for c, config in configs.items()}
     if args.final_time is not None:
         from dataclasses import replace
-        configs = [replace(config, T=args.final_time) for config in configs]
-    for config in configs:    # before anything is written
+        configs = {c: replace(config, T=args.final_time) for c, config in configs.items()}
+    for config in configs.values():    # before anything is written
         try:
             step_count(config.T, config.tau)
         except ValueError as exc:
@@ -146,13 +146,12 @@ def _cmd_run(args) -> int:
     os.makedirs(args.out, exist_ok=True)
 
     if name.startswith("sensitivity"):
-        results = run_sensitivity(cases, resolution=args.resolution, outdir=args.out,
-                                  T=args.final_time, sections=sections, sets=sets)
+        results = run_sensitivity(configs, outdir=args.out)
         for c, summary in sorted(results.items()):
             print(f"case {c}: near-fracture mean p_p = {summary['near_fracture_mean_pp']:.4g} KPa, "
                   f"max |eta| = {summary['max_displacement']:.4g} m")
         write_manifest(os.path.join(args.out, "sensitivity_summary.json"),
-                       {**results, "threads": sweep_threads(len(cases))})
+                       {**results, "threads": sweep_threads(len(configs))})
         return 0
 
     if name == "example3" and not (os.path.exists(poro) and os.path.exists(perm)):
@@ -160,7 +159,7 @@ def _cmd_run(args) -> int:
         write_raster(pf, poro)
         write_raster(kf, perm)
         print(f"wrote synthetic field data: {poro}, {perm}")
-    summary = run_scenario(configs[0], outdir=os.path.join(args.out, name))
+    summary = run_scenario(configs[name], outdir=os.path.join(args.out, name))
     for k, v in sorted(summary.items()):
         print(f"{k}: {v}")
     return 0

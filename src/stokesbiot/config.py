@@ -34,7 +34,7 @@ _SCHEMA = {
         "alpha": ("float", lambda v: 0.0 <= v <= 1.0, "outside [0, 1]"),
         "alpha_bjs": ("float", lambda v: v >= 0, "must be non-negative"),
         "e": ("float", lambda v: v > 0, "must be positive"),
-        "nu": ("float", lambda v: 0.0 <= v < 0.5, "outside [0, 0.5)"),
+        "nu": ("float", lambda v: 0.0 < v < 0.5, "outside (0, 0.5)"),
         "lam_p": ("float", lambda v: v > 0, "must be positive"),
         "mu_p": ("float", lambda v: v > 0, "must be positive"),
         "resolution": ("float", lambda v: v > 0, "must be positive"),

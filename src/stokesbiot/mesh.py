@@ -181,61 +181,53 @@ def build_structured(rect, nx: int, ny: int, subdomain: str,
         raise ValueError(f"degenerate rectangle {rect}")
     xs = np.linspace(x0, x1, nx + 1)
     ys = np.linspace(y0, y1, ny + 1)
-    return _mesh_from_rows([ys[j] * np.ones(nx + 1) for j in range(ny + 1)],
-                           [xs] * (ny + 1), subdomain, boundary_tags)
+    return _mesh_from_rows(ys, np.broadcast_to(xs, (ny + 1, nx + 1)), subdomain, boundary_tags)
 
 
 def _mesh_from_rows(row_y, row_x, subdomain, boundary_tags,
                     left_tag_per_row=None) -> Mesh2D:
     """Triangulate a stack of horizontal node rows (same node count per row).
 
-    Rows may have different x-coordinates (horizontal trapezoid cells, always
-    convex).  ``left_tag_per_row`` optionally overrides the 'left' tag for
-    individual row intervals, which the fracture builder uses to split the
-    left side into outer boundary and interface.
+    ``row_y`` holds one y per row and ``row_x`` one x per row and column, so
+    rows may have different x-coordinates (horizontal trapezoid cells,
+    always convex).  A row whose nodes all coincide becomes a single node;
+    the triangles and boundary edges that degenerate there are dropped.
+    ``left_tag_per_row`` optionally overrides the 'left' tag for individual
+    row intervals, which the fracture builder uses to split the left side
+    into outer boundary and interface.
     """
-    n_rows = len(row_y)
-    n_cols = len(row_x[0])
-    nodes = np.empty((n_rows * n_cols, 2))
-    for j in range(n_rows):
-        nodes[j * n_cols:(j + 1) * n_cols, 0] = row_x[j]
-        nodes[j * n_cols:(j + 1) * n_cols, 1] = row_y[j]
+    row_y = np.asarray(row_y, dtype=float)
+    row_x = np.asarray(row_x, dtype=float)
+    n_rows, n_cols = row_x.shape
+    collapsed = np.all(row_x == row_x[:, :1], axis=1)
+    kept = ~collapsed[:, None] | (np.arange(n_cols) == 0)
+    nid = np.cumsum(kept, dtype=np.int64).reshape(n_rows, n_cols) - 1
+    nid[collapsed] = nid[collapsed, :1]
+    nodes = np.column_stack([row_x[kept], np.broadcast_to(row_y[:, None], row_x.shape)[kept]])
 
-    def nid(i, j):
-        return j * n_cols + i
+    a, b = nid[:-1, :-1], nid[:-1, 1:]
+    c, d = nid[1:, 1:], nid[1:, :-1]
+    tris = np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
+    tris = tris[np.all(tris != np.roll(tris, 1, axis=1), axis=1)]
 
-    tris = []
-    for j in range(n_rows - 1):
-        for i in range(n_cols - 1):
-            a, b = nid(i, j), nid(i + 1, j)
-            c, d = nid(i + 1, j + 1), nid(i, j + 1)
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-    tris = np.asarray(tris, dtype=np.int64)
-
-    bedges, btags = [], []
-    for i in range(n_cols - 1):  # bottom row, left to right
-        bedges.append((nid(i, 0), nid(i + 1, 0)))
-        btags.append(boundary_tags["bottom"])
-    for j in range(n_rows - 1):  # right side, bottom to top
-        bedges.append((nid(n_cols - 1, j), nid(n_cols - 1, j + 1)))
-        btags.append(boundary_tags["right"])
-    for i in range(n_cols - 1, 0, -1):  # top row, right to left
-        bedges.append((nid(i, n_rows - 1), nid(i - 1, n_rows - 1)))
-        btags.append(boundary_tags["top"])
-    for j in range(n_rows - 1, 0, -1):  # left side, top to bottom
-        bedges.append((nid(0, j), nid(0, j - 1)))
-        tag = boundary_tags["left"]
-        if left_tag_per_row is not None:
-            tag = left_tag_per_row[j - 1]
-        btags.append(tag)
+    left = boundary_tags["left"] if left_tag_per_row is None else left_tag_per_row
+    left = np.broadcast_to(np.asarray(left, dtype="U16"), n_rows - 1)
+    sides = [  # counterclockwise: bottom, right, top (right to left), left (top to bottom)
+        (nid[0, :-1], nid[0, 1:], boundary_tags["bottom"]),
+        (nid[:-1, -1], nid[1:, -1], boundary_tags["right"]),
+        (nid[-1, :0:-1], nid[-1, -2::-1], boundary_tags["top"]),
+        (nid[:0:-1, 0], nid[-2::-1, 0], left[::-1]),
+    ]
+    bedges = np.concatenate([np.column_stack([p, q]) for p, q, _ in sides])
+    btags = np.concatenate([np.broadcast_to(np.asarray(t, dtype="U16"), len(p)) for p, _, t in sides])
+    open_ = bedges[:, 0] != bedges[:, 1]
 
     mesh = Mesh2D(
         nodes=nodes,
         tris=tris,
         tri_tags=np.full(len(tris), subdomain, dtype="U16"),
-        bedges=np.asarray(bedges, dtype=np.int64),
-        bedge_tags=np.asarray(btags, dtype="U16"),
+        bedges=bedges[open_],
+        bedge_tags=btags[open_],
     )
     mesh.validate()
     return mesh
@@ -274,7 +266,11 @@ def build_fracture_domain(resolution: float):
     band_w = fracture_half_width(band_y)
     band_w[0] = band_w[-1] = 0.0
 
-    fluid = _build_lens_mesh(band_y, band_w, ns_f)
+    s = np.linspace(0.0, 1.0, ns_f + 1)
+    # the end rows have zero width, so the lens has no bottom or top edges
+    fluid = _mesh_from_rows(band_y, band_w[:, None] * s, "fluid",
+                            {"bottom": "interface", "right": "interface",
+                             "top": "interface", "left": "inflow"})
 
     ns_p = int(math.ceil(1.0 / resolution))
     n_outer = int(math.ceil((1.0 - b) / resolution))
@@ -282,69 +278,17 @@ def build_fracture_domain(resolution: float):
     below = np.linspace(-1.0, -b, n_outer + 1)[:-1]
     above = np.linspace(b, 1.0, n_outer + 1)[1:]
     row_y = np.concatenate([below, band_y, above])
-    row_x = []
-    left_tags = []
-    for y in row_y:
-        w = float(fracture_half_width(np.array([y]))[0]) if abs(y) < b else 0.0
-        row_x.append(w + xs * (1.0 - w))
+    w = np.where(np.abs(row_y) < b, fracture_half_width(row_y), 0.0)[:, None]
     # rows inside the open band have their left node on the fracture curve
-    for j in range(len(row_y) - 1):
-        lo, hi = row_y[j], row_y[j + 1]
-        inside = (lo >= -b - 1e-14) and (hi <= b + 1e-14) and not (hi <= -b + 1e-14 or lo >= b - 1e-14)
-        left_tags.append("interface" if inside else "left")
-    poro = _mesh_from_rows(list(row_y), row_x, "poro",
+    lo, hi = row_y[:-1], row_y[1:]
+    inside = ((lo >= -b - 1e-14) & (hi <= b + 1e-14)
+              & ~((hi <= -b + 1e-14) | (lo >= b - 1e-14)))
+    poro = _mesh_from_rows(row_y, w + xs * (1.0 - w), "poro",
                            {"bottom": "bottom", "right": "right", "top": "top", "left": "left"},
-                           left_tag_per_row=left_tags)
+                           left_tag_per_row=np.where(inside, "interface", "left"))
 
     _check_trace_match(fluid, poro)
     return fluid, poro
-
-
-def _build_lens_mesh(band_y, band_w, ns: int) -> Mesh2D:
-    """Triangulate the lens {0 <= x <= w(y)}; the end rows collapse to points."""
-    n_rows = len(band_y)
-    s = np.linspace(0.0, 1.0, ns + 1)
-    node_id = np.full((n_rows, ns + 1), -1, dtype=np.int64)
-    nodes = []
-    for j in range(n_rows):
-        if band_w[j] == 0.0:
-            idx = len(nodes)
-            nodes.append((0.0, band_y[j]))
-            node_id[j, :] = idx
-        else:
-            for i in range(ns + 1):
-                node_id[j, i] = len(nodes)
-                nodes.append((s[i] * band_w[j], band_y[j]))
-    nodes = np.asarray(nodes)
-
-    tris = []
-    for j in range(n_rows - 1):
-        for i in range(ns):
-            a, bb = node_id[j, i], node_id[j, i + 1]
-            c, d = node_id[j + 1, i + 1], node_id[j + 1, i]
-            for tri in ((a, bb, c), (a, c, d)):
-                if len(set(map(int, tri))) == 3:
-                    tris.append(tri)
-    tris = np.asarray(tris, dtype=np.int64)
-
-    bedges, btags = [], []
-    for j in range(n_rows - 1):  # curve side, bottom to top (fluid on the left)
-        bedges.append((node_id[j, ns], node_id[j + 1, ns]))
-        btags.append("interface")
-    for j in range(n_rows - 1, 0, -1):  # mouth x = 0, top to bottom
-        aid, bid = node_id[j, 0], node_id[j - 1, 0]
-        if aid != bid:
-            bedges.append((aid, bid))
-            btags.append("inflow")
-    mesh = Mesh2D(
-        nodes=nodes,
-        tris=tris,
-        tri_tags=np.full(len(tris), "fluid", dtype="U16"),
-        bedges=np.asarray(bedges, dtype=np.int64),
-        bedge_tags=np.asarray(btags, dtype="U16"),
-    )
-    mesh.validate()
-    return mesh
 
 
 def _check_trace_match(fluid: Mesh2D, poro: Mesh2D) -> None:

@@ -10,12 +10,12 @@ stand-in for the external 60 x 220 field dataset ships with the package.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .assembly import PhysicalParams, Separable, make_multiplier_space
-from .config import ConfigError, apply_overrides
+from .config import ConfigError
 from .interface import common_refinement, project_to_polyline
 from .manufactured import PI
 from .mesh import Mesh2D, apply_domain_map, build_fracture_domain, reservoir_domain_map
@@ -373,28 +373,16 @@ def sweep_threads(n_cases: int) -> dict:
             "env": {var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}}
 
 
-def run_sensitivity(cases=("A", "B", "C", "D"), resolution: float = 0.04,
-                    outdir: str | None = None, T: float | None = None,
-                    sections: dict | None = None, sets: dict | None = None) -> dict:
-    """Run the parameter sweep; honors SB_THREADS for process parallelism.
-
-    ``sections`` (a parsed configuration file) and ``sets`` (``--set``
-    pairs) are applied to every case, before ``T``.
-    """
-    n_workers = _sweep_workers(len(cases))
-    configs = sensitivity_configs(resolution)
-    selected = {c: apply_overrides(configs[c], sections or {}, sets) for c in cases}
-    if T is not None:
-        selected = {c: replace(cfg, T=T) for c, cfg in selected.items()}
-    results = {}
+def run_sensitivity(configs: dict, outdir: str | None = None) -> dict:
+    """Run the ``{label: ScenarioConfig}`` sweep; honors SB_THREADS for
+    process parallelism."""
+    n_workers = _sweep_workers(len(configs))
     if n_workers > 1:
         import concurrent.futures as cf
         with cf.ProcessPoolExecutor(max_workers=n_workers) as ex:
             futs = {c: ex.submit(run_scenario, cfg,
                                  os.path.join(outdir, c) if outdir else None)
-                    for c, cfg in selected.items()}
-            results = {c: f.result() for c, f in futs.items()}
-    else:
-        for c, cfg in selected.items():
-            results[c] = run_scenario(cfg, os.path.join(outdir, c) if outdir else None)
-    return results
+                    for c, cfg in configs.items()}
+            return {c: f.result() for c, f in futs.items()}
+    return {c: run_scenario(cfg, os.path.join(outdir, c) if outdir else None)
+            for c, cfg in configs.items()}

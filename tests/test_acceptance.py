@@ -69,9 +69,10 @@ def example2_summary():
 
 @pytest.fixture(scope="session")
 def sensitivity_cd():
-    from stokesbiot.scenarios import run_sensitivity
+    from stokesbiot.scenarios import run_sensitivity, sensitivity_configs
 
-    return run_sensitivity(cases=("C", "D"), resolution=0.05, outdir=None)
+    configs = sensitivity_configs(resolution=0.05)
+    return run_sensitivity({c: configs[c] for c in ("C", "D")}, outdir=None)
 
 
 # ---------------------------------------------------------------------------

@@ -191,6 +191,19 @@ def test_cli_bad_config_value_is_usage_error(tmp_path, capsys):
     assert "stride" in capsys.readouterr().err
 
 
+def test_cli_nu_zero_is_usage_error(tmp_path, capsys):
+    # nu = 0 gives lam_p = 0, which the Lame coefficients may not be
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[params]\nnu = 0\n")
+    out = tmp_path / "out"
+    for extra in (["--set", "nu=0"], ["--config", str(cfg)]):
+        rc = cli(["run", "--scenario", "example2", "--resolution", "0.2", "--final-time", "1",
+                  "--out", str(out)] + extra)
+        assert rc == 1
+        assert "nu" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_cli_output_dir_is_unknown_key(tmp_path, capsys, monkeypatch):
     import stokesbiot.scenarios
 

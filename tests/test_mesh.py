@@ -1,9 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from stokesbiot.mesh import (FRACTURE_HALF_LENGTH, MeshParseError, apply_domain_map,
+from stokesbiot.mesh import (FRACTURE_HALF_LENGTH, MeshParseError, _mesh_from_rows, apply_domain_map,
                              build_fracture_domain, build_structured, fracture_half_width,
                              polyline_hausdorff, read_mesh, reservoir_domain_map, write_mesh)
 
@@ -58,6 +59,20 @@ def test_nonmatching_interface_nodes_do_not_coincide():
     assert not common
 
 
+@pytest.mark.parametrize("collapsed_row", [0, 2])
+def test_collapsed_row_becomes_one_node(collapsed_row):
+    row_x = np.array([[0.0, 1.0, 2.0]] * 3)
+    row_x[collapsed_row] = 1.0
+    mesh = _mesh_from_rows(np.array([0.0, 1.0, 2.0]), row_x, "fluid", TAGS)   # validates
+    assert mesh.n_nodes == 7
+    assert np.sum(mesh.nodes[:, 1] == collapsed_row) == 1      # the row's y is its index
+    assert mesh.n_tris == 6
+    assert np.all([len(set(t)) == 3 for t in mesh.tris.tolist()])
+    assert np.all(mesh.bedges[:, 0] != mesh.bedges[:, 1])
+    side = "top" if collapsed_row == 2 else "bottom"
+    assert side not in set(mesh.bedge_tags) and len(mesh.bedges) == 6
+
+
 # -- fracture geometry -------------------------------------------------------
 
 
@@ -78,6 +93,28 @@ def test_fracture_domain_containment_and_traces():
     fi = fluid.nodes[np.unique(fluid.bedges[fluid.boundary_edge_ids("interface")])]
     pi = poro.nodes[np.unique(poro.bedges[poro.boundary_edge_ids("interface")])]
     assert polyline_hausdorff(fi, pi) < 1e-10 * math.sqrt(5.0)
+
+
+def _digest(a):
+    """First 16 hex digits of the SHA-256 of an integer or string array."""
+    a = np.asarray(a)
+    data = ("\n".join(a.tolist()).encode() if a.dtype.kind == "U"
+            else np.ascontiguousarray(a, dtype="<i8").tobytes())
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("resolution,pinned", [
+    (0.05, [(722, 1350, 92, "5c699371b0723f45", "4dfc36246732bae4", "c5ac5824cdc67929", "583f6ff34cf03f4d"),
+            (1785, 3360, 208, "d42435f2cd0ec89e", "b76d913eaafdfa6b", "06c45280607933e5", "d74f71d492d1d1de")]),
+    (0.2, [(57, 88, 24, "94b06d2b746b02d0", "67319c4d7be0949e", "0e609af9620f33e6", "03bbbacc23862896"),
+           (138, 220, 54, "67502c13b09f85b3", "ea0139ef29efdb37", "6e7265612b745969", "af383cfb789950c5")]),
+])
+def test_fracture_domain_connectivity_pinned(resolution, pinned):
+    # connectivity and tags of (fluid, poro), integer and string arrays only
+    for mesh, pin in zip(build_fracture_domain(resolution), pinned):
+        got = (mesh.n_nodes, mesh.n_tris, len(mesh.bedges),
+               *(_digest(a) for a in (mesh.tris, mesh.bedges, mesh.tri_tags, mesh.bedge_tags)))
+        assert got == pin
 
 
 def test_fracture_domain_too_coarse():
