@@ -107,6 +107,7 @@ def _cmd_converge(args) -> int:
 
 def _cmd_run(args) -> int:
     from .config import apply_overrides, parse_config, parse_set_pairs
+    from .mesh import fracture_samples
     from .scenarios import (example2_config, example3_config, run_scenario,
                             run_sensitivity, sensitivity_configs, sweep_threads,
                             synthetic_spe_standin, write_raster)
@@ -143,6 +144,7 @@ def _cmd_run(args) -> int:
             step_count(config.T, config.tau)
         except ValueError as exc:
             raise SystemExit(f"{'--final-time' if args.final_time else '[time] t / tau'}: {exc}") from None
+        fracture_samples(config.resolution)
     os.makedirs(args.out, exist_ok=True)
 
     if name.startswith("sensitivity"):

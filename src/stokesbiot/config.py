@@ -53,18 +53,20 @@ _SCHEMA = {
 }
 
 
-def _coerce(key: str, text: str, spec, line: int):
-    """Typed, finite, range-checked value of ``key`` from its text."""
+def _coerce(key: str, text: str, spec, line: int | None = None, source: str | None = None):
+    """Typed, finite, range-checked value of ``key`` from its text.  An error
+    names ``source`` (such as the ``--set`` pair), else ``key = text``."""
     kind, check, why = spec
+    source = source or f"{key} = {text}"
     try:
         value = int(text) if kind == "int" else float(text)
     except ValueError:
         what = "an integer" if kind == "int" else "a number"
-        raise ConfigError(f"{key} = {text!r} is not {what}", line) from None
+        raise ConfigError(f"{source}: not {what}", line) from None
     if not math.isfinite(value):
-        raise ConfigError(f"{key} = {text!r} is not finite", line)
+        raise ConfigError(f"{source}: not finite", line)
     if not check(value):
-        raise ConfigError(f"{key} = {text}: {why}", line)
+        raise ConfigError(f"{source}: {why}", line)
     return value
 
 
@@ -147,15 +149,17 @@ def apply_overrides(config, sections: dict, extra_sets: dict | None = None):
 
 
 def parse_set_pairs(pairs) -> dict:
-    """Validate ``--set key=value`` pairs against the schema."""
+    """Validate ``--set key=value`` pairs against the schema; an error names
+    ``--set`` and the pair."""
     merged = {}
     lookup = {k: spec for keys in _SCHEMA.values() for k, spec in keys.items()}
-    for i, pair in enumerate(pairs or (), start=1):
+    for pair in pairs or ():
+        source = f"--set {pair}"
         if "=" not in pair:
-            raise ConfigError(f"--set expects key=value, got {pair!r}", i)
+            raise ConfigError(f"{source}: expected key=value")
         key, _, val = pair.partition("=")
         key = key.strip().lower()
         if key not in lookup:
-            raise ConfigError(f"unknown override key {key!r}", i)
-        merged[key] = _coerce(key, val, lookup[key], i)
+            raise ConfigError(f"{source}: unknown override key {key!r}")
+        merged[key] = _coerce(key, val, lookup[key], source=source)
     return merged

@@ -243,6 +243,21 @@ def fracture_half_width(y: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(0.0, 200.0 * (FRACTURE_HALF_WIDTH - y) * (FRACTURE_HALF_WIDTH + y)))
 
 
+def fracture_samples(resolution: float) -> tuple[int, int]:
+    """Rows across the fracture band and samples along the lens at
+    ``resolution``; ``ConfigError`` naming it when it is too coarse."""
+    if resolution <= 0:
+        raise ValueError("resolution must be positive")
+    a = FRACTURE_HALF_LENGTH
+    n_band = int(math.ceil(a * math.pi / resolution))
+    n_band += n_band % 2  # keep y = 0 as a sample row
+    ns_f = int(math.ceil(a / resolution))
+    if n_band < 4 or ns_f < 2:
+        raise ConfigError(f"resolution {resolution} too coarse for fracture half-width "
+                          f"{FRACTURE_HALF_WIDTH}")
+    return n_band, ns_f
+
+
 def build_fracture_domain(resolution: float):
     """Mesh the fluid lens and the surrounding matrix on the reference domain.
 
@@ -250,15 +265,8 @@ def build_fracture_domain(resolution: float):
     the elliptic angle), so their interface traces coincide and the common
     refinement is one-to-one.  Returns ``(fluid_mesh, poro_mesh)``.
     """
-    if resolution <= 0:
-        raise ValueError("resolution must be positive")
+    n_band, ns_f = fracture_samples(resolution)
     b = FRACTURE_HALF_WIDTH
-    a = FRACTURE_HALF_LENGTH
-    n_band = int(math.ceil(a * math.pi / resolution))
-    n_band += n_band % 2  # keep y = 0 as a sample row
-    ns_f = int(math.ceil(a / resolution))
-    if n_band < 4 or ns_f < 2:
-        raise ValueError(f"resolution {resolution} too coarse for fracture half-width {b}")
 
     theta = np.linspace(-0.5 * math.pi, 0.5 * math.pi, n_band + 1)
     band_y = b * np.sin(theta)

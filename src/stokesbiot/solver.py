@@ -9,8 +9,9 @@ L(t_{n+1}) + E X^n / tau.
 Essential conditions are imposed by ``ConstrainedOperator``: it rotates
 constrained velocity / displacement node pairs into normal-tangential form
 where needed, then eliminates rows and columns with a symmetric right-hand
-side correction.  The step matrix is factorized once and reused.  The
-constraints are built once per system; a sub-problem (the consistent
+side correction.  The step matrix is factorized once, after the consistent
+initialization's factor is freed, and reused.  The constraints are built
+once per system; a sub-problem (the consistent
 initialization, the Darcy extension and the inf-sup pairing of ``verify``)
 is a slice of ``H`` / ``E`` on the dofs of some fields, ``CoupledSystem.dofs``,
 with the constraints restricted to them, ``Constraints.restrict``.
@@ -40,6 +41,7 @@ import scipy.sparse.linalg as spla
 
 from . import assembly
 from .assembly import MultiplierSpace, PhysicalParams
+from .config import ConfigError
 from .interface import InterfacePairing, segment_quadrature
 from .spaces import FESpace, l2_project, nodal_interpolate
 
@@ -47,6 +49,10 @@ FIELDS = ("uf", "up", "eta", "pf", "pp", "lam")
 REFINE_TOL = 1e-12                # scaled residual that triggers (and must survive) refinement
 INTERIOR_GROWTH_LIMIT = np.finfo(float).eps ** -0.5   # cells condensed only below this growth bound
 SYMMETRIC_ORDER_SHARE = 0.01      # largest share of unknowns without a diagonal for the symmetric order
+# the parameters each assembled block is built from; the other blocks depend
+# on the meshes alone
+BLOCK_PARAMS = {"Af": ("mu",), "Ap": ("mu", "K"), "Ae": ("mu_p", "lam_p"),
+                **dict.fromkeys(("Mff", "Mfe", "Mee"), ("mu", "alpha_bjs", "K"))}
 
 
 class SingularMatrixError(RuntimeError):
@@ -59,8 +65,10 @@ class LUSolver:
     """Direct solve of an equilibrated matrix with its cell-interior unknowns
     condensed out, refined only when needed.
 
-    Rows and columns are scaled once by ``1/sqrt`` of their largest
-    magnitudes, giving ``A = D_r M D_c``.  ``interior`` lists ``(m, k)``
+    ``M`` is held as given when it is a CSR matrix with sorted indices and
+    no duplicates (as a canonical CSR copy otherwise).  Rows and columns are
+    scaled once by ``1/sqrt`` of their largest magnitudes, giving
+    ``A = D_r M D_c`` on the index arrays of ``M``.  ``interior`` lists ``(m, k)``
     arrays of unknowns, one row per cell; the block ``A_II`` of ``A`` on
     them must couple only unknowns of the same row (``ValueError``
     otherwise).  Each ``k x k`` cell block is scaled by its own row and
@@ -102,20 +110,26 @@ class LUSolver:
     dense = False     # read by the benchmark's trace hook (perfbench/spans.py)
 
     def __init__(self, M, interior=None):
-        M = sp.csc_matrix(M)
+        if not (sp.issparse(M) and M.format == "csr" and M.has_canonical_format):
+            M = sp.csr_matrix(M, copy=True)     # not the caller's arrays: sorted in place
+            M.sum_duplicates()
         if M.shape[0] != M.shape[1]:
             raise ValueError("matrix must be square")
         self.M = M
         self.n = M.shape[0]
         self.refinements = 0
         self.max_residual = 0.0
-        absM = abs(M)
-        self.dr = _inv_sqrt_max(absM.max(axis=1), "row")
-        self.dc = _inv_sqrt_max(absM.max(axis=0), "column")
-        A = absM      # reused: the equilibrated matrix D_r M D_c
-        A.data = M.data * self.dr[M.indices] * np.repeat(self.dc, np.diff(M.indptr))
-        S = self._condense(A.tocsr(), interior or ()).tocsc()
-        del A, absM   # not held while factorizing: lowers peak memory
+        rows, size = _row_ids(M), np.abs(M.data)
+        self.dr = _inv_sqrt_max(_max_by(rows, size, self.n), "row")
+        self.dc = _inv_sqrt_max(_max_by(M.indices, size, self.n), "column")
+        del size
+        # the equilibrated matrix D_r M D_c, on the index arrays of ``M``
+        data = M.data * self.dr[rows]
+        del rows
+        data *= self.dc[M.indices]
+        A = sp.csr_matrix((data, M.indices, M.indptr), shape=M.shape)
+        S = self._condense(A, interior or ()).tocsc()
+        del A         # not held while factorizing: lowers peak memory
         self._fact = None     # stays None when every unknown is condensed
         if S.shape[0]:
             options = {}
@@ -152,20 +166,21 @@ class LUSolver:
         listed = np.concatenate([b.ravel() for b in groups] or [[]]).astype(np.int64)
         if np.count_nonzero(cell >= 0) != len(listed):
             raise ValueError("an interior unknown is listed twice")
-        rows_L = A[listed]
-        A_II = rows_L[:, listed].tocoo()
-        r, c, v = listed[A_II.row], listed[A_II.col], A_II.data
+        # the entries of A in listed rows and columns (A_II), and the largest
+        # coupling of each listed unknown to the unlisted ones, by column (u)
+        # and by row (v_out), read through masks over A's entries
+        rows = _row_ids(A)
+        in_r, in_c = cell[rows] >= 0, cell[A.indices] >= 0
+        both = in_r & in_c
+        r, c, v = rows[both], A.indices[both], A.data[both]
         couple = (cell[r] != cell[c]) & (v != 0)
         if couple.any():
             j = int(np.argmax(couple))
             raise ValueError(f"interior unknowns {r[j]} and {c[j]} of different cells are coupled")
-        # largest coupling of each listed unknown to the unlisted ones, by
-        # column (u) and by row (v)
-        outside = cell < 0
-        u = v_out = np.zeros(len(listed))     # nothing outside: no coupling
-        if outside.any():
-            u = abs(A[outside][:, listed]).max(axis=0).toarray().ravel()
-            v_out = abs(rows_L[:, outside]).max(axis=1).toarray().ravel()
+        to_col, to_row = ~in_r & in_c, in_r & ~in_c
+        u = _max_by(A.indices[to_col], np.abs(A.data[to_col]), self.n)[listed]
+        v_out = _max_by(rows[to_row], np.abs(A.data[to_row]), self.n)[listed]
+        del rows, in_r, in_c, both, to_col, to_row
         kept_groups, self.interior_cond, self.interior_growth = [], 0.0, 0.0
         at = np.cumsum([0] + [b.size for b in groups])
         for f, at0, b in zip(first, at, groups):
@@ -356,9 +371,20 @@ class _CellBlocks:
         return sp.csr_matrix((X.ravel(), (rows.ravel(), np.repeat(col, k))), shape=Q.shape)
 
 
-def _inv_sqrt_max(maxima, kind: str) -> np.ndarray:
-    """``1/sqrt`` of the largest magnitudes; a zero row or column is singular."""
-    m = maxima.toarray().ravel()
+def _row_ids(A: sp.csr_matrix) -> np.ndarray:
+    """The row of each stored entry of the CSR ``A``."""
+    return np.repeat(np.arange(A.shape[0], dtype=A.indices.dtype), np.diff(A.indptr))
+
+
+def _max_by(ids: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """The largest of ``values`` at each of the ids ``0 .. n-1``; 0 where none."""
+    out = np.zeros(n)
+    np.maximum.at(out, ids, values)
+    return out
+
+
+def _inv_sqrt_max(m: np.ndarray, kind: str) -> np.ndarray:
+    """``1/sqrt`` of the largest magnitudes ``m``; a zero row or column is singular."""
     if not np.all(np.isfinite(m)):
         bad = int(np.argmin(np.isfinite(m)))
         raise SingularMatrixError(f"non-finite entry in {kind} {bad}", pivot=bad)
@@ -550,8 +576,10 @@ def build_constraints(spaces: dict, offsets: dict, bcs: list) -> Constraints:
 class ConstrainedOperator:
     """A square operator with its essential conditions eliminated.
 
-    The constrained node pairs are rotated once, the dofs split into free and
-    fixed, and the free block factorized (unless ``factorize`` is false).
+    The constrained node pairs are rotated once and the dofs split into free
+    and fixed.  The free block ``A_ff`` is factorized on the first use of
+    ``lu`` (never if ``factorize`` is false), so an operator can be built
+    before another one's factor is freed.
     ``interior`` lists ``(m, k)`` arrays of cell-interior dofs in the
     numbering of ``A``, one row per cell; they must all be free, and ``LUSolver``
     condenses them out cell by cell.  A cell's set must have an invertible
@@ -585,7 +613,15 @@ class ConstrainedOperator:
         for b in interior:
             if np.any(number[b] < 0):
                 raise ValueError(f"interior dof {int(b[number[b] < 0][0])} is constrained")
-        self.lu = LUSolver(self.A_ff, interior=[number[b] for b in interior]) if factorize else None
+        self.interior = [number[b] for b in interior]      # in the free numbering
+        self._factorize, self._lu = factorize, None
+
+    @property
+    def lu(self) -> LUSolver | None:
+        """The factor of ``A_ff``, made on first access; None without ``factorize``."""
+        if self._lu is None and self._factorize:
+            self._lu = LUSolver(self.A_ff, interior=self.interior)
+        return self._lu
 
     def solve(self, rhs: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
         """Solution with fixed dofs set to ``g`` (zero by default).
@@ -625,7 +661,12 @@ class TransientState:
 
 
 class CoupledSystem:
-    """Assembled blocks, BC handling, and the factorized step operator."""
+    """Assembled blocks, BC handling, and the factorized step operator.
+
+    The step operator is factorized on the first access to ``lu``: by
+    ``initial_state`` once the consistent initialization's factor is freed,
+    so the two are never held together, or else by the first ``step``.
+    """
 
     def __init__(self, spaces: dict, L: MultiplierSpace, pairing: InterfacePairing,
                  params: PhysicalParams, tau: float, bcs: list, data: dict | None = None,
@@ -647,16 +688,22 @@ class CoupledSystem:
 
         squad = segment_quadrature(pairing, assembly.INTERFACE_QUAD_DEGREE)
         b = {}
-        b["Af"] = assembly.assemble_stokes_viscous(spaces["uf"], params)
-        b["Ap"] = assembly.assemble_darcy_mass(spaces["up"], params)
-        b["Ae"] = assembly.assemble_elasticity(spaces["eta"], params)
-        b["Mp"] = assembly.pressure_mass(spaces["pp"])
-        b["Df"] = assembly.assemble_divergence(spaces["uf"], spaces["pf"])
-        b["Dp"] = assembly.assemble_divergence(spaces["up"], spaces["pp"])
-        b["Dep"] = assembly.assemble_divergence(spaces["eta"], spaces["pp"])
-        b["Mff"], b["Mfe"], b["Mee"] = assembly.assemble_bjs(pairing, spaces["uf"], spaces["eta"], params, squad)
-        b["Bf"], b["Bp"], b["Be"] = assembly.assemble_bgamma(
-            pairing, spaces["uf"], spaces["up"], spaces["eta"], L, squad)
+        with np.errstate(over="ignore", invalid="ignore"):      # checked below
+            b["Af"] = assembly.assemble_stokes_viscous(spaces["uf"], params)
+            b["Ap"] = assembly.assemble_darcy_mass(spaces["up"], params)
+            b["Ae"] = assembly.assemble_elasticity(spaces["eta"], params)
+            b["Mp"] = assembly.pressure_mass(spaces["pp"])
+            b["Df"] = assembly.assemble_divergence(spaces["uf"], spaces["pf"])
+            b["Dp"] = assembly.assemble_divergence(spaces["up"], spaces["pp"])
+            b["Dep"] = assembly.assemble_divergence(spaces["eta"], spaces["pp"])
+            b["Mff"], b["Mfe"], b["Mee"] = assembly.assemble_bjs(
+                pairing, spaces["uf"], spaces["eta"], params, squad)
+            b["Bf"], b["Bp"], b["Be"] = assembly.assemble_bgamma(
+                pairing, spaces["uf"], spaces["up"], spaces["eta"], L, squad)
+        for name, block in b.items():
+            if not np.all(np.isfinite(block.data)):
+                raise ConfigError(f"non-finite entry in block {name}, built from "
+                                  + ", ".join(BLOCK_PARAMS.get(name, ("the mesh",))))
         self.blocks = b
 
         alpha = params.alpha
@@ -684,10 +731,16 @@ class CoupledSystem:
         poro = ("up", "pp") if params.s0 > 0 else ("up",)
         interior = [self.interior_dofs(("uf",)), self.interior_dofs(poro)]
         self.op = ConstrainedOperator(self.M, self.constraints, factorize, interior)
-        self.M_ff, self.lu = self.op.A_ff, self.op.lu
+        self.M_ff = self.op.A_ff
         self._E_c = self.op.R_c @ self.E     # E on the constrained rows, for ``reaction``
         self._loads = None
         self._load_at = (None, None)         # (t, load) of the last ``load`` call
+
+    @property
+    def lu(self) -> LUSolver | None:
+        """The factor of the step operator, made on first access; None for a
+        system built with ``factorize=False``."""
+        return self.op.lu
 
     def interior_dofs(self, names) -> np.ndarray:
         """(m, k) cell-interior dofs of the fields ``names``, global numbering."""
@@ -738,7 +791,8 @@ class CoupledSystem:
 
     def initial_state(self, pp0=None, eta0=None, eta_dot0=None, consistency_solve: bool = True) -> TransientState:
         """Project initial pressure / displacement; optionally fill the
-        algebraic variables (u_f, u_p, p_f, lambda) by a Stokes-Darcy solve."""
+        algebraic variables (u_f, u_p, p_f, lambda) by a Stokes-Darcy solve.
+        Then factorize the step operator, once that solve's factor is freed."""
         X = np.zeros(self.n_dofs)
         if pp0 is not None:
             self.view(X, "pp")[:] = l2_project(self.spaces["pp"], pp0)
@@ -747,6 +801,7 @@ class CoupledSystem:
         state = TransientState(X=X, n=0, tau=self.tau)
         if consistency_solve:
             self._consistent_initialize(state, eta_dot0)
+        self.lu       # the step factor, made only now
         return state
 
     def _consistent_initialize(self, state: TransientState, eta_dot0) -> None:
@@ -762,6 +817,7 @@ class CoupledSystem:
         # load fills grows after the factorization's memory peak, not during it
         interior = [np.searchsorted(S, self.interior_dofs((n,))) for n in ("uf", "up")]
         op = ConstrainedOperator(self.H[S][:, S], cons, interior=interior)
+        op.lu
         rhs = self.load(0.0) - self.H @ state.X - self.E @ self.pack(eta=etad)
         state.X[S] = op.solve(rhs[S], cons.values(0.0))
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -162,6 +163,15 @@ def test_parse_set_pairs():
         parse_set_pairs(["s0=inf"])
 
 
+@pytest.mark.parametrize("pairs", [["nu=0"], ["s0=0.5", "nu=0"]])
+def test_set_pair_error_names_the_pair(pairs):
+    # a --set pair is not a file line
+    with pytest.raises(ConfigError) as err:
+        parse_set_pairs(pairs)
+    assert str(err.value) == "--set nu=0: outside (0, 0.5)"
+    assert err.value.line is None
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -202,6 +212,18 @@ def test_cli_nu_zero_is_usage_error(tmp_path, capsys):
         assert rc == 1
         assert "nu" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_cli_non_finite_block_is_usage_error(tmp_path, capsys):
+    # mu K^-1 overflows in the Darcy mass block: named with its parameters,
+    # and without a numpy warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli(["run", "--scenario", "example2", "--resolution", "0.2", "--final-time", "1",
+                  "--set", "mu=1e300", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "block Ap" in err and "mu" in err and "Warning" not in err
 
 
 def test_cli_output_dir_is_unknown_key(tmp_path, capsys, monkeypatch):
@@ -392,7 +414,8 @@ def test_python_m_exit_codes(tmp_path):
     cases = [
         (["mesh", "--make", "rect", "--nx", "2", "--ny", "2", "--out", "rect.mesh"], 0),
         (["converge", "--elements", "low", "--levels", "0"], 1),
-        (["run", "--scenario", "example2", "--resolution", "2.0"], 2),
+        (["run", "--scenario", "example2", "--resolution", "2.0"], 1),
+        (["mesh", "--make", "rect", "--out", os.path.join("missing", "rect.mesh")], 2),
     ]
     for argv, code in cases:
         proc = subprocess.run([sys.executable, "-m", "stokesbiot", *argv], cwd=tmp_path, env=env,
@@ -401,10 +424,13 @@ def test_python_m_exit_codes(tmp_path):
     assert (tmp_path / "rect.mesh").exists()
 
 
-def test_cli_runtime_error_exit_code(tmp_path):
-    # fracture resolution too coarse -> runtime failure, exit 2
-    rc = cli(["run", "--scenario", "example2", "--resolution", "2.0", "--out", str(tmp_path)])
-    assert rc == 2
+def test_cli_runtime_error_exit_code(tmp_path, capsys):
+    # a fracture resolution too coarse to mesh the lens is a usage error
+    out = tmp_path / "out"
+    rc = cli(["run", "--scenario", "example2", "--resolution", "2.0", "--out", str(out)])
+    assert rc == 1
+    assert "resolution 2.0 too coarse" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_malformed_raster_is_usage_error(tmp_path, capsys):
