@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
+from .config import ConfigError
 from .interface import InterfacePairing, SegmentQuadrature, segment_quadrature, tangential_permeability
 from .quadrature import edge_rule, triangle_rule
 from .spaces import FESpace, default_quad_degree, load_vector, mass_matrix, scatter
@@ -46,6 +47,13 @@ class PhysicalParams:
         eig = np.linalg.eigvalsh(K)
         if np.any(eig <= 0):
             raise ValueError(f"permeability not SPD on cell {int(np.argmin(eig.min(axis=1)))}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            det = K[:, 0, 0] * K[:, 1, 1] - K[:, 0, 1] * K[:, 1, 0]
+        bad = ~(np.isfinite(det) & (det >= np.finfo(float).tiny))   # det K under- or overflows
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ConfigError(f"k, kxx, kyy: permeability singular in double precision on "
+                              f"cell {i} (det K = {det[i]:.3g})")
         if np.any(np.asarray(self.lam_p) <= 0) or np.any(np.asarray(self.mu_p) <= 0):
             raise ValueError("Lame coefficients must be positive")
         if not 0.0 <= self.alpha <= 1.0:

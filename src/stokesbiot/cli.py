@@ -140,6 +140,7 @@ def _cmd_run(args) -> int:
         from dataclasses import replace
         configs = {c: replace(config, T=args.final_time) for c, config in configs.items()}
     for config in configs.values():    # before anything is written
+        config.params.validate()
         try:
             step_count(config.T, config.tau)
         except ValueError as exc:

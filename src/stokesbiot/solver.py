@@ -80,7 +80,8 @@ class LUSolver:
     only the multipliers lack one, ``S`` is taken as quasi-definite: the kept
     unknowns are put in a symmetric minimum-degree order with those without a
     diagonal last (``_symmetric_order``), and ``S`` is factorized in that
-    order with diagonal pivots.  Otherwise SuperLU orders the columns by
+    order with diagonal pivots, passing over one below 1e-8 of its column
+    (a zero pivot).  Otherwise SuperLU orders the columns by
     COLAMD and pivots by threshold partial pivoting.  ``ordering`` tells
     which (``"symmetric"`` or ``"colamd"``), ``fill`` is the number of
     entries of ``L`` and ``U``.
@@ -134,7 +135,8 @@ class LUSolver:
         if S.shape[0]:
             options = {}
             if self._ordering == "symmetric":
-                options = dict(permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                # a zero pivot gives way to an off-diagonal one (``_symmetric_order``)
+                options = dict(permc_spec="NATURAL", diag_pivot_thresh=1e-8,
                                options={"SymmetricMode": True})
             try:
                 self._fact = spla.splu(S, **options)
@@ -263,7 +265,8 @@ class LUSolver:
             self.refinements += 1
             X[:, refine] += self._solve_scaled(R[:, refine])
             _, ratio = self._residual(B, X)
-        X *= size
+        with np.errstate(over="ignore"):      # reported as non-finite below
+            X *= size
         if not np.all(np.isfinite(X)):
             raise SingularMatrixError("solve produced non-finite values")
         worst = float(ratio.max(initial=0.0))
@@ -285,8 +288,11 @@ def _symmetric_order(S: sp.csr_matrix) -> np.ndarray | None:
     blocks of ``CoupledSystem`` give it.  It is SuperLU's multiple minimum
     degree order of the pattern of ``|S| + |S|^T``, read from an incomplete
     factorization that drops almost everything, with the unknowns that lack
-    a diagonal moved last; pivots on the diagonal are then safe without
-    threshold pivoting.
+    a diagonal moved last.  Diagonal pivots are then safe, except a zero
+    one: MINI's bubble term vanishes on constant pressures, so an order that
+    eliminates every pressure before the interface velocities meets the
+    constant-pressure mode as a zero pivot, which the factorization passes
+    over for an off-diagonal one.
     """
     n = S.shape[0]
     d = S.diagonal()
@@ -813,11 +819,8 @@ class CoupledSystem:
             etad = nodal_interpolate(self.spaces["eta"], eta_dot0)
         S = self.dofs(("uf", "up", "pf", "lam"))
         cons = self.constraints.restrict(S)
-        # factorize before the first load, so that the quadrature cache the
-        # load fills grows after the factorization's memory peak, not during it
         interior = [np.searchsorted(S, self.interior_dofs((n,))) for n in ("uf", "up")]
         op = ConstrainedOperator(self.H[S][:, S], cons, interior=interior)
-        op.lu
         rhs = self.load(0.0) - self.H @ state.X - self.E @ self.pack(eta=etad)
         state.X[S] = op.solve(rhs[S], cons.values(0.0))
 

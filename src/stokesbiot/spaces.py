@@ -51,25 +51,15 @@ class CellGeometry:
         self.invJ = inv
         self.invJT = np.swapaxes(inv, 1, 2)
         self.areas = 0.5 * self.detJ
-        self._quadrature: dict = {}
 
     def map_points(self, ref_points: np.ndarray) -> np.ndarray:
         """Physical coordinates (m, q, 2) of reference points (q, 2)."""
         return self.v0[:, None, :] + np.matmul(ref_points, np.swapaxes(self.J, 1, 2))
 
     def quadrature(self, rule: QuadratureRule):
-        """Physical points (m, q, 2) and weights (m, q) of ``rule`` on every cell.
-
-        Cached per rule under the key ``FESpace.tabulate`` uses; the arrays
-        are shared between callers and therefore read-only.
-        """
-        key = (id(rule), rule.degree)
-        if key not in self._quadrature:
-            pts = self.map_points(rule.points)
-            w = rule.weights[None, :] * (2.0 * self.areas)[:, None]
-            pts.flags.writeable = w.flags.writeable = False
-            self._quadrature[key] = (pts, w)
-        return self._quadrature[key]
+        """Physical points (m, q, 2) and weights (m, q) of ``rule`` on every
+        cell, computed on each call and owned by the caller."""
+        return self.map_points(rule.points), rule.weights[None, :] * (2.0 * self.areas)[:, None]
 
     def ref_coords(self, cells, phys: np.ndarray) -> np.ndarray:
         """Reference coordinates (n, q, 2) of physical points (n, q, 2) in ``cells``."""
@@ -92,7 +82,7 @@ class FESpace:
     degree: int
     scalar_name: str | None = None     # underlying scalar family for CG
     rt_order: int | None = None
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, repr=False, compare=False)   # "rt": see _rt_data
 
     @property
     def geometry(self) -> CellGeometry:
@@ -105,28 +95,23 @@ class FESpace:
     # -- tabulation ---------------------------------------------------------
 
     def tabulate(self, rule: QuadratureRule):
-        """Physical basis data at the rule's points, cached per rule.
+        """Physical basis data at the rule's points, computed on each call
+        and owned by the caller.
 
         Scalar CG: ``(vals (n_loc, q), grads (m, n_loc, q, 2))``.
         RT: ``(vals (m, n_loc, q, 2), divs (m, n_loc, q))``.
         Vector CG spaces tabulate their scalar component; assembly kernels
         expand components on the fly.
         """
-        key = (id(rule), rule.degree)
-        if key not in self._cache:
-            if self.rt_order is not None:
-                self._cache[key] = self._rt_basis(slice(None), self.geometry.quadrature(rule)[0])
-            else:
-                el = SCALAR_ELEMENTS[self.scalar_name]
-                vals, gref = el.tabulate(rule.points)
-                grads = np.matmul(gref, self.geometry.invJ[:, None])
-                self._cache[key] = (vals, grads)
-        return self._cache[key]
+        if self.rt_order is not None:
+            return self._rt_basis(slice(None), self.geometry.quadrature(rule)[0])
+        vals, gref = SCALAR_ELEMENTS[self.scalar_name].tabulate(rule.points)
+        return vals, np.matmul(gref, self.geometry.invJ[:, None])
 
     def ref_values(self, rule: QuadratureRule) -> np.ndarray:
         """Scalar component values (n_loc, q) of a Lagrange family at the
-        rule's points: the values of ``tabulate`` without building (and
-        caching) its physical gradients, for callers that read values only."""
+        rule's points: the values of ``tabulate`` without its physical
+        gradients, for callers that read values only."""
         return SCALAR_ELEMENTS[self.scalar_name].tabulate(rule.points)[0]
 
     def _rt_data(self):

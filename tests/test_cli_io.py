@@ -214,6 +214,20 @@ def test_cli_nu_zero_is_usage_error(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("pair", ["k=1e-300", "kxx=1e-300", "kyy=1e-300", "k=1e300"])
+def test_cli_permeability_singular_in_double_is_usage_error(tmp_path, capsys, pair):
+    # det K under- or overflows, so K^-1 = adj(K) / det K cannot be formed
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli(["run", "--scenario", "example2", "--resolution", "0.2", "--final-time", "1",
+                  "--set", pair, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "k, kxx, kyy" in err and "singular" in err
+    assert not out.exists()
+
+
 def test_cli_non_finite_block_is_usage_error(tmp_path, capsys):
     # mu K^-1 overflows in the Darcy mass block: named with its parameters,
     # and without a numpy warning on the way

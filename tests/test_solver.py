@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 import warnings
 import weakref
@@ -160,6 +161,16 @@ def test_lu_with_every_unknown_condensed():
     B = np.column_stack([np.ones(4), np.arange(4.0)])
     assert np.allclose(lu.solve(B), B / np.array([2.0, 3.0, 4.0, 5.0])[:, None], rtol=1e-15)
     assert lu.refinements == 0
+
+
+def test_lu_overflowing_solution_is_reported_without_warning():
+    # equilibration solves [1e-300] x = 1e300 exactly, and x = 1e600 overflows
+    # only when the right-hand side's size is put back
+    lu = LUSolver(sp.csr_matrix([[1e-300]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMatrixError, match="non-finite"):
+            lu.solve(np.array([1e300]))
 
 
 # ---------------------------------------------------------------------------
@@ -829,6 +840,26 @@ def test_symmetric_order_needs_few_missing_diagonals_of_one_sign():
     assert LUSolver(K.tocsc()).ordering == "colamd"
 
 
+def test_symmetric_order_survives_renumbering():
+    """The low-order matching h = 1/16 step operator, renumbered at random:
+    an order that eliminates every Stokes pressure before the interface
+    velocities meets MINI's constant-pressure mode as a zero pivot, which
+    must give way to an off-diagonal one (the sixth renumbering failed with
+    a scaled residual of 7.8e-2 while the pivots were all diagonal)."""
+    op = example1_system(16, LOW_ORDER, matching=True, factorize=False).op
+    n = op.A_ff.shape[0]
+    rng = np.random.default_rng(0)
+    b = rng.standard_normal(n)
+    for _ in range(12):
+        p = rng.permutation(n)
+        new = np.empty(n, dtype=np.int64)
+        new[p] = np.arange(n)
+        lu = LUSolver(op.A_ff[p][:, p], interior=[new[g] for g in op.interior])
+        assert lu.ordering == "symmetric"
+        lu.solve(b)
+        assert lu.max_residual <= REFINE_TOL
+
+
 def _step_and_init_factors(build):
     """The system ``build()`` makes and the factors of its
     consistent-initialization and step operators, in that order."""
@@ -905,6 +936,25 @@ def test_lu_memory_budget():
     assert lu.M is M and lu.fill > 0
     assert kept - base <= 0.9 * size
     assert peak - base <= 5.6 * size
+
+
+def test_tabulations_are_not_retained():
+    """Building a system and its first load keeps no quadrature or basis
+    tabulation: on the low-order, non-matching h = 1/16 system the memory
+    still held afterwards is at most 6.0 times the bytes of ``M`` (5.53
+    measured; 10.86 when every rule's tabulation was kept with the mesh and
+    space)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        system = example1_system(16, LOW_ORDER, matching=False, factorize=False)
+        system.load(0.0)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    M = system.M
+    assert kept <= 6.0 * (M.data.nbytes + M.indices.nbytes + M.indptr.nbytes)
 
 
 def _colamd_operator(system, monkeypatch):

@@ -275,16 +275,13 @@ ALL_FAMILIES = sorted(EXPECTED_DOFS)
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
-def test_quadrature_is_cached_per_rule(skewed_mesh, family):
+def test_quadrature_maps_points_and_weights(skewed_mesh, family):
     space = make_space(skewed_mesh, family)
     geo = space.geometry
     rule = triangle_rule(default_quad_degree(space) + 2)
     pts, w = geo.quadrature(rule)
-    again = geo.quadrature(rule)
-    assert again[0] is pts and again[1] is w
     np.testing.assert_array_equal(pts, geo.map_points(rule.points))
     np.testing.assert_array_equal(w, rule.weights * 2.0 * geo.areas[:, None])
-    assert not (pts.flags.writeable or w.flags.writeable)
     _assert_rel_close(pts, _einsum_quadrature(space, rule)[0])
 
 
