@@ -23,6 +23,10 @@ from .quadrature import edge_rule, triangle_rule
 from .spaces import FESpace, default_quad_degree, load_vector, mass_matrix, scatter
 
 INTERFACE_QUAD_DEGREE = 7
+# largest eigenvalue ratio of a cell's K: on example2 at resolution 0.2 the
+# step solve ran at ratios up to 1.5e16 and failed at every sampled ratio
+# from 1.6e16 up
+PERMEABILITY_RATIO_LIMIT = 1e17
 
 
 @dataclass
@@ -54,6 +58,12 @@ class PhysicalParams:
             i = int(np.argmax(bad))
             raise ConfigError(f"k, kxx, kyy: permeability singular in double precision on "
                               f"cell {i} (det K = {det[i]:.3g})")
+        with np.errstate(over="ignore"):
+            ratio = eig[:, 1] / eig[:, 0]
+        if np.any(ratio > PERMEABILITY_RATIO_LIMIT):
+            i = int(np.argmax(ratio))
+            raise ConfigError(f"k, kxx, kyy: permeability eigenvalue ratio {ratio[i]:.3g} on "
+                              f"cell {i} above {PERMEABILITY_RATIO_LIMIT:.0e}")
         if np.any(np.asarray(self.lam_p) <= 0) or np.any(np.asarray(self.mu_p) <= 0):
             raise ValueError("Lame coefficients must be positive")
         if not 0.0 <= self.alpha <= 1.0:

@@ -24,10 +24,12 @@ triangular solve of the smaller Schur complement per application normally
 meets ``REFINE_TOL``; the scaled residual of the full matrix is checked
 every time, one refinement pass is made only when it misses, and a solve
 that still misses raises ``SingularMatrixError`` instead of returning a
-wrong answer.  A Schur complement in which all unknowns but a few, such as
-the interface multipliers, have a positive diagonal is factorized in a
-symmetric minimum-degree order with diagonal pivots; any other in SuperLU's
-COLAMD order with partial pivoting.
+wrong answer.  A Schur complement in which at most a fifth of the
+unknowns (the multipliers and the Taylor-Hood pressure) lack a diagonal,
+and whose diagonal entries and condensed cell blocks are within a bound of
+their scale, as in the Example 1 operators, is factorized in a symmetric
+minimum-degree order with diagonal pivots; any other, such as example2's,
+in SuperLU's COLAMD order with partial pivoting.
 """
 
 from __future__ import annotations
@@ -48,7 +50,8 @@ from .spaces import FESpace, l2_project, nodal_interpolate
 FIELDS = ("uf", "up", "eta", "pf", "pp", "lam")
 REFINE_TOL = 1e-12                # scaled residual that triggers (and must survive) refinement
 INTERIOR_GROWTH_LIMIT = np.finfo(float).eps ** -0.5   # cells condensed only below this growth bound
-SYMMETRIC_ORDER_SHARE = 0.01      # largest share of unknowns without a diagonal for the symmetric order
+SYMMETRIC_ORDER_SHARE = 0.2       # largest share of unknowns without a diagonal for the symmetric order
+SYMMETRIC_ORDER_COND = 200.0      # largest interior_cond and 1 / diagonal_ratio for it
 # the parameters each assembled block is built from; the other blocks depend
 # on the meshes alone
 BLOCK_PARAMS = {"Af": ("mu",), "Ap": ("mu", "K"), "Ae": ("mu_p", "lam_p"),
@@ -74,17 +77,26 @@ class LUSolver:
     otherwise).  Each ``k x k`` cell block is scaled by its own row and
     column maxima and decomposed (SVD), batched over the cells, and the Schur
     complement ``S = A_CC - A_CI A_II^-1 A_IC`` on the other unknowns is
-    factorized by SuperLU.  When at most ``SYMMETRIC_ORDER_SHARE`` of the
-    unknowns of ``S`` lack a diagonal and every other diagonal entry is
-    positive, as after condensing the low-order Example 1 operators, where
-    only the multipliers lack one, ``S`` is taken as quasi-definite: the kept
-    unknowns are put in a symmetric minimum-degree order with those without a
-    diagonal last (``_symmetric_order``), and ``S`` is factorized in that
-    order with diagonal pivots, passing over one below 1e-8 of its column
-    (a zero pivot).  Otherwise SuperLU orders the columns by
-    COLAMD and pivots by threshold partial pivoting.  ``ordering`` tells
-    which (``"symmetric"`` or ``"colamd"``), ``fill`` is the number of
-    entries of ``L`` and ``U``.
+    factorized by SuperLU.
+
+    ``S`` is taken as quasi-definite when three quantities read from it and
+    the cells allow it: at most ``SYMMETRIC_ORDER_SHARE`` of its unknowns
+    lack a diagonal (``missing_share``), the smallest present diagonal entry
+    over its column's largest magnitude (``diagonal_ratio``, signed, so a
+    negative one fails) is at least ``1 / SYMMETRIC_ORDER_COND``, and so is
+    ``1 / interior_cond``.  The Example 1 operators, scaled by unit
+    coefficients, pass at every measured mesh size: the Taylor-Hood
+    pressure and the multipliers, up to 9.8% of ``S``, lack a diagonal,
+    ``diagonal_ratio`` is at least 0.014 and ``interior_cond`` at most 4.
+    example2's, with coefficients from 1e-10 to 1e7, fail: ``interior_cond``
+    is 2.3e4 and 8.9e4 at resolution 0.05, and ``diagonal_ratio`` 1.4e-5
+    with nothing condensed.  A quasi-definite ``S`` has its kept unknowns
+    put in a symmetric minimum-degree order with those without a diagonal last
+    (``_symmetric_order``), and ``S`` is factorized in that order with
+    diagonal pivots, passing over one below 1e-8 of its column (a zero
+    pivot).  Otherwise SuperLU orders the columns by COLAMD and pivots by
+    threshold partial pivoting.  ``ordering`` tells which (``"symmetric"``
+    or ``"colamd"``), ``fill`` is the number of entries of ``L`` and ``U``.
 
     The cells are eliminated without pivoting across cells, so a cell is
     condensed only if a bound on the entries it adds to ``S`` (its growth,
@@ -153,6 +165,17 @@ class LUSolver:
         """Nonzeros of the ``L`` and ``U`` factors of ``S`` (builds both)."""
         return 0 if self._fact is None else self._fact.L.nnz + self._fact.U.nnz
 
+    @property
+    def missing_share(self) -> float:
+        """Share of the unknowns of ``S`` without a diagonal (0 for an empty ``S``)."""
+        return self._missing_share
+
+    @property
+    def diagonal_ratio(self) -> float:
+        """Smallest present diagonal entry of ``S`` (signed) over its column's
+        largest magnitude (inf when none is present)."""
+        return self._diagonal_ratio
+
     def _condense(self, A, interior) -> sp.csr_matrix:
         """Factorize the interior cell blocks of the equilibrated CSR ``A``
         and return the Schur complement ``S`` on the kept unknowns, with
@@ -218,10 +241,17 @@ class LUSolver:
             start = span.stop
         S = rows_C[:, self.kept] - self._A_CI @ sp.vstack(W, format="csr")
         del rows_I, rows_C, W     # not held while ordering
-        order = _symmetric_order(S) if S.shape[0] else None
-        self._ordering = "colamd" if order is None else "symmetric"
-        if order is None:
+        missing, self._missing_share, self._diagonal_ratio = _diagonal(S)
+        # quasi-definite and scaled like the unit-coefficient operators: few
+        # unknowns lack a diagonal, and no condensed cell block nor present
+        # diagonal is more than SYMMETRIC_ORDER_COND from its scale
+        symmetric = (S.shape[0] > 0 and self._missing_share <= SYMMETRIC_ORDER_SHARE
+                     and self.interior_cond <= SYMMETRIC_ORDER_COND
+                     and self._diagonal_ratio * SYMMETRIC_ORDER_COND >= 1)
+        self._ordering = "symmetric" if symmetric else "colamd"
+        if not symmetric:
             return S
+        order = _symmetric_order(S, missing)
         self.kept, self._A_CI, self._A_IC = self.kept[order], self._A_CI[order], self._A_IC[:, order]
         return S[order][:, order]
 
@@ -277,28 +307,36 @@ class LUSolver:
         return X.reshape(b.shape)
 
 
-def _symmetric_order(S: sp.csr_matrix) -> np.ndarray | None:
-    """A symmetric fill-reducing order of the equilibrated ``S`` (new
-    position to old unknown), or None when ``S`` does not look quasi-definite.
+def _diagonal(S: sp.csr_matrix):
+    """``(missing, share, ratio)`` for the equilibrated ``S``: which unknowns
+    lack a diagonal, their share of the unknowns, and the smallest ratio of a
+    present diagonal entry (signed) to its column's largest magnitude.
 
     An unknown lacks a diagonal when ``|s_jj| <= eps max_i |s_ij|``: round-off
-    left on a multiplier's diagonal must not make it an early pivot.  The
-    order is taken only if at most ``SYMMETRIC_ORDER_SHARE`` of the unknowns
-    lack a diagonal and every other diagonal entry is positive, the sign the
-    blocks of ``CoupledSystem`` give it.  It is SuperLU's multiple minimum
-    degree order of the pattern of ``|S| + |S|^T``, read from an incomplete
-    factorization that drops almost everything, with the unknowns that lack
-    a diagonal moved last.  Diagonal pivots are then safe, except a zero
-    one: MINI's bubble term vanishes on constant pressures, so an order that
-    eliminates every pressure before the interface velocities meets the
+    left on a multiplier's diagonal must not make it an early pivot."""
+    if not S.shape[0]:
+        return np.zeros(0, dtype=bool), 0.0, np.inf
+    d = S.diagonal()
+    colmax = abs(S).max(axis=0).toarray().ravel()
+    missing = np.abs(d) <= np.finfo(float).eps * colmax
+    share = np.count_nonzero(missing) / len(d)
+    return missing, share, float((d[~missing] / colmax[~missing]).min(initial=np.inf))
+
+
+def _symmetric_order(S: sp.csr_matrix, missing: np.ndarray) -> np.ndarray:
+    """A symmetric fill-reducing order of the equilibrated ``S`` (new
+    position to old unknown), with the ``missing`` unknowns, those without a
+    diagonal, last.
+
+    It is SuperLU's multiple minimum degree order of the pattern of
+    ``|S| + |S|^T``, read from an incomplete factorization that drops almost
+    everything.  Diagonal pivots are then safe, except a zero one: MINI's
+    bubble term vanishes on constant pressures, so an order that eliminates
+    every pressure before the interface velocities meets the
     constant-pressure mode as a zero pivot, which the factorization passes
     over for an off-diagonal one.
     """
     n = S.shape[0]
-    d = S.diagonal()
-    missing = np.abs(d) <= np.finfo(float).eps * abs(S).max(axis=0).toarray().ravel()
-    if np.count_nonzero(missing) > SYMMETRIC_ORDER_SHARE * n or np.any(d[~missing] < 0):
-        return None
     P = sp.csr_matrix((np.ones(S.nnz), S.indices, S.indptr), shape=S.shape)
     P = (P + P.T + n * sp.identity(n)).tocsc()
     perm_c = spla.spilu(P, permc_spec="MMD_AT_PLUS_A", drop_tol=0.99, fill_factor=1,

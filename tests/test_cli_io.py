@@ -228,6 +228,28 @@ def test_cli_permeability_singular_in_double_is_usage_error(tmp_path, capsys, pa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("pair", ["kxx=1e-200", "kyy=1e200"])
+def test_cli_permeability_too_anisotropic_is_usage_error(tmp_path, capsys, pair):
+    # det K is a normal double, but the step solve cannot take K's eigenvalue
+    # spread (kxx=1e-200 left a scaled residual of 1.46e+01 after refinement)
+    out = tmp_path / "out"
+    rc = cli(["run", "--scenario", "example2", "--resolution", "0.2", "--final-time", "1",
+              "--set", pair, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "k, kxx, kyy" in err and "eigenvalue ratio" in err
+    assert not out.exists()
+
+
+def test_permeability_ratio_bound_keeps_measured_runs():
+    from stokesbiot.assembly import PERMEABILITY_RATIO_LIMIT, PhysicalParams
+
+    # example2 at resolution 0.2 ran with kxx = 7.5e5 against kyy = 5e-11
+    PhysicalParams(K=np.diag([7.5e5, 5e-11])).validate()
+    with pytest.raises(ConfigError, match="eigenvalue ratio"):
+        PhysicalParams(K=np.diag([1.0, 0.9 / PERMEABILITY_RATIO_LIMIT])).validate()
+
+
 def test_cli_non_finite_block_is_usage_error(tmp_path, capsys):
     # mu K^-1 overflows in the Darcy mass block: named with its parameters,
     # and without a numpy warning on the way

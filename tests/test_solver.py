@@ -833,11 +833,53 @@ def test_duplicated_multiplier_raises_on_symmetric_path():
 
 
 def test_symmetric_order_needs_few_missing_diagonals_of_one_sign():
-    rng = np.random.default_rng(3)
-    assert LUSolver(_saddle_system(rng, n_u=290)).ordering == "colamd"      # 3 of 293 lack one
-    K = _saddle_system(rng).tolil()
+    # SYMMETRIC_ORDER_SHARE = 0.2: 3 multipliers of 16 unknowns, and of 14
+    for n_u, ordering in ((13, "symmetric"), (11, "colamd")):
+        lu = LUSolver(_saddle_system(np.random.default_rng(3), n_u=n_u))
+        assert lu.missing_share == 3 / (n_u + 3) and lu.ordering == ordering
+    K = _saddle_system(np.random.default_rng(3)).tolil()
     K[5, 5] = -K[5, 5]
-    assert LUSolver(K.tocsc()).ordering == "colamd"
+    lu = LUSolver(K.tocsc())
+    assert lu.diagonal_ratio < 0 and lu.ordering == "colamd"
+
+
+def _solves_exactly(lu, K):
+    b = np.random.default_rng(5).standard_normal(K.shape[0])
+    x = lu.solve(b)
+    return np.abs(x - np.linalg.solve(K.toarray(), b)).max() < 1e-12 * np.abs(x).max()
+
+
+@pytest.mark.parametrize("c,inverse_ratio,ordering", [(4.68e-3, 192.2, "symmetric"),
+                                                      (4.32e-3, 208.2, "colamd")])
+def test_symmetric_order_needs_diagonals_near_their_column_scale(c, inverse_ratio, ordering):
+    # a multiplier with diagonal c: 1 / diagonal_ratio against SYMMETRIC_ORDER_COND
+    # = 200 (example2's uncondensed step operator reads 7.1e4)
+    K = _saddle_system(np.random.default_rng(3), lam_diag=(c, 0.0, 0.0))
+    lu = LUSolver(K)
+    assert 1 / lu.diagonal_ratio == pytest.approx(inverse_ratio, rel=1e-3)
+    assert lu.ordering == ordering
+    assert _solves_exactly(lu, K) and lu.refinements == 0
+
+
+def _cell_system(cond):
+    """``_saddle_system`` in which unknowns 0 and 1 form a cell whose scaled
+    block has condition number ``cond``, coupled weakly enough to unknown 2
+    that ``A`` stays positive definite."""
+    eps = 2 / (cond + 1)
+    K = _saddle_system(np.random.default_rng(3)).tolil()
+    K[0, 1] = K[1, 0] = -4 * (1 - eps)
+    K[1, 2] = K[2, 1] = -0.25
+    return K.tocsr()
+
+
+@pytest.mark.parametrize("cond,ordering", [(190, "symmetric"), (210, "colamd")])
+def test_symmetric_order_needs_well_conditioned_cells(cond, ordering):
+    # interior_cond against SYMMETRIC_ORDER_COND = 200 (example2's condensed
+    # operators read 2.3e4 and 8.9e4, Example 1's at most 4)
+    K = _cell_system(cond)
+    lu = LUSolver(K, interior=[np.array([[0, 1]])])
+    assert lu.interior_cond == pytest.approx(cond) and lu.ordering == ordering
+    assert _solves_exactly(lu, K) and lu.refinements == 0
 
 
 def test_symmetric_order_survives_renumbering():
@@ -962,7 +1004,7 @@ def _colamd_operator(system, monkeypatch):
     import stokesbiot.solver
 
     lu = system.lu        # the system's own factor, made before the order is patched
-    monkeypatch.setattr(stokesbiot.solver, "_symmetric_order", lambda S: None)
+    monkeypatch.setattr(stokesbiot.solver, "SYMMETRIC_ORDER_SHARE", -1.0)
     interior = [system.interior_dofs(("uf",)), system.interior_dofs(("up", "pp"))]
     op = ConstrainedOperator(system.M, system.constraints, interior=interior)
     assert np.array_equal(np.sort(op.lu.kept), np.sort(lu.kept))
@@ -980,7 +1022,7 @@ def _example2():
     return build_scenario_system(example2_config(resolution=0.05))
 
 
-@pytest.mark.parametrize("case,ordering", [("low16", "symmetric"), ("high16", "colamd"),
+@pytest.mark.parametrize("case,ordering", [("low16", "symmetric"), ("high16", "symmetric"),
                                            ("example2", "colamd")])
 def test_factor_ordering_per_operator(case, ordering, request):
     if case == "low16":
@@ -995,6 +1037,10 @@ def test_factor_ordering_per_operator(case, ordering, request):
             lu.ordering = "colamd"
         with pytest.raises(AttributeError):
             lu.fill = 0
+        with pytest.raises(AttributeError):
+            lu.missing_share = 0.0
+        with pytest.raises(AttributeError):
+            lu.diagonal_ratio = 1.0
 
 
 def test_symmetric_solve_matches_colamd(low16_factors, monkeypatch):
@@ -1015,3 +1061,11 @@ def test_symmetric_order_fill_guard(monkeypatch):
     assert system.lu.ordering == "symmetric"
     assert system.lu.fill <= 0.6 * ref.lu.fill
 
+
+def test_symmetric_order_fill_guard_high_order(monkeypatch):
+    # the high-order step factor at h = 1/16 holds 0.84M entries against 1.41M
+    # in COLAMD order
+    system = example1_system(16, HIGH_ORDER)
+    ref = _colamd_operator(system, monkeypatch)
+    assert system.lu.ordering == "symmetric"
+    assert system.lu.fill <= 0.65 * ref.lu.fill

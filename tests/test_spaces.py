@@ -10,8 +10,8 @@ from stokesbiot.assembly import Separable
 from stokesbiot.elements import SCALAR_ELEMENTS
 from stokesbiot.mesh import apply_domain_map, build_structured, reservoir_domain_map
 from stokesbiot.quadrature import triangle_rule
-from stokesbiot.spaces import (default_quad_degree, l2_project, load_vector, make_space,
-                               mass_matrix, nodal_interpolate)
+from stokesbiot.spaces import (FESpace, default_quad_degree, l2_project, load_vector,
+                               make_space, mass_matrix, nodal_interpolate)
 from stokesbiot.verify import _field_norms, _norm_rule
 
 from helpers import rt_interpolate
@@ -368,16 +368,25 @@ def test_interior_dofs(mesh, family, k, columns):
     assert np.all(counts[interior] == 1)
 
 
-def test_values_only_callers_build_no_gradients(mesh):
+def test_values_only_callers_build_no_gradients(mesh, monkeypatch):
     """Divergence, mass and scalar norms read reference values only: they
-    leave no physical gradients in the space's cache, and the values are
+    never tabulate the scalar space's physical gradients, and the values are
     those ``tabulate`` returns."""
     from stokesbiot.assembly import assemble_divergence
 
     V, W = make_space(mesh, "VecP1bubble"), make_space(mesh, "P1")
+    tabulated, tabulate = [], FESpace.tabulate
+
+    def spy(self, rule):
+        tabulated.append(self)
+        return tabulate(self, rule)
+
+    monkeypatch.setattr(FESpace, "tabulate", spy)
     assemble_divergence(V, W)
     mass_matrix(W)
     _field_norms(W, np.ones((W.n_dofs, 2)), [0.0, 1.0], Separable(lambda p: np.ones(len(p))))
-    assert not W._cache
+    assert any(s is V for s in tabulated)        # the velocity's gradients are read
+    assert not any(s is W for s in tabulated)
+    monkeypatch.undo()
     rule = triangle_rule(default_quad_degree(V, W))
     assert np.array_equal(W.ref_values(rule), W.tabulate(rule)[0])
