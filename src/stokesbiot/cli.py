@@ -146,7 +146,6 @@ def _cmd_run(args) -> int:
         except ValueError as exc:
             raise SystemExit(f"{'--final-time' if args.final_time else '[time] t / tau'}: {exc}") from None
         fracture_samples(config.resolution)
-    os.makedirs(args.out, exist_ok=True)
 
     if name.startswith("sensitivity"):
         results = run_sensitivity(configs, outdir=args.out)
@@ -158,6 +157,7 @@ def _cmd_run(args) -> int:
         return 0
 
     if name == "example3" and not (os.path.exists(poro) and os.path.exists(perm)):
+        os.makedirs(args.out, exist_ok=True)
         pf, kf = synthetic_spe_standin()
         write_raster(pf, poro)
         write_raster(kf, perm)

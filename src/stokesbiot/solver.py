@@ -10,11 +10,15 @@ Essential conditions are imposed by ``ConstrainedOperator``: it rotates
 constrained velocity / displacement node pairs into normal-tangential form
 where needed, then eliminates rows and columns with a symmetric right-hand
 side correction.  The step matrix is factorized once, after the consistent
-initialization's factor is freed, and reused.  The constraints are built
-once per system; a sub-problem (the consistent
+initialization's factor is freed, and reused.  A system holds the assembled
+blocks, ``E`` and the constrained step operator; ``H`` and ``M = E / tau + H``
+are built from the blocks on each read, so a caller binds them once.  The
+constraints are built once per system; a sub-problem (the consistent
 initialization, the Darcy extension and the inf-sup pairing of ``verify``)
-is a slice of ``H`` / ``E`` on the dofs of some fields, ``CoupledSystem.dofs``,
-with the constraints restricted to them, ``Constraints.restrict``.
+is a slice of a freshly built ``H`` / ``E`` on the dofs of some fields,
+``CoupledSystem.dofs``, with the constraints restricted to them,
+``Constraints.restrict``, and the full ``H`` is dropped before the slice is
+factorized.
 
 ``LUSolver`` factorizes the max-norm row/column equilibration of a matrix
 after condensing out, cell by cell, the unknowns that couple only within
@@ -707,6 +711,13 @@ class TransientState:
 class CoupledSystem:
     """Assembled blocks, BC handling, and the factorized step operator.
 
+    A system holds each operator once: the assembled ``blocks``, ``E`` and
+    the constrained step operator ``op`` (whose free block is ``M_ff``).
+    ``H`` and ``M`` are built from them on each read, so a caller that
+    needs one more than once binds it to a name.  ``M`` is built once on
+    construction, constrained and dropped; an ``E / tau`` with a non-finite
+    entry raises ``ConfigError`` naming ``tau`` and ``s0`` before that.
+
     The step operator is factorized on the first access to ``lu``: by
     ``initial_state`` once the consistent initialization's factor is freed,
     so the two are never held together, or else by the first ``step``.
@@ -750,24 +761,18 @@ class CoupledSystem:
                                   + ", ".join(BLOCK_PARAMS.get(name, ("the mesh",))))
         self.blocks = b
 
-        alpha = params.alpha
         self.E = _bmat_fields([
             [None, None, -b["Mfe"], None, None, None],
             [None, None, None, None, None, None],
             [None, None, b["Mee"], None, None, None],
             [None, None, None, None, None, None],
-            [None, None, alpha * b["Dep"], None, params.s0 * b["Mp"], None],
+            [None, None, params.alpha * b["Dep"], None, params.s0 * b["Mp"], None],
             [None, None, -b["Be"], None, None, None],
         ], self.sizes)
-        self.H = _bmat_fields([
-            [b["Af"] + b["Mff"], None, None, -b["Df"].T, None, b["Bf"].T],
-            [None, b["Ap"], None, None, -b["Dp"].T, b["Bp"].T],
-            [-b["Mfe"].T, None, b["Ae"], None, -alpha * b["Dep"].T, b["Be"].T],
-            [b["Df"], None, None, None, None, None],
-            [None, b["Dp"], None, None, None, None],
-            [-b["Bf"], -b["Bp"], None, None, None, None],
-        ], self.sizes)
-        self.M = (self.E / tau + self.H).tocsr()
+        with np.errstate(over="ignore", invalid="ignore"):     # checked here, before M is built
+            finite = np.all(np.isfinite((self.E / tau).data))
+        if not finite:
+            raise ConfigError("non-finite entry in E / tau, built from tau and s0")
 
         self.constraints = build_constraints(spaces, self.offsets, bcs)
         # one block per cell: the fluid bubbles; the RT1 moments with the
@@ -779,6 +784,24 @@ class CoupledSystem:
         self._E_c = self.op.R_c @ self.E     # E on the constrained rows, for ``reaction``
         self._loads = None
         self._load_at = (None, None)         # (t, load) of the last ``load`` call
+
+    @property
+    def H(self) -> sp.csr_matrix:
+        """The stationary operator, built from ``blocks`` on each read."""
+        b, alpha = self.blocks, self.params.alpha
+        return _bmat_fields([
+            [b["Af"] + b["Mff"], None, None, -b["Df"].T, None, b["Bf"].T],
+            [None, b["Ap"], None, None, -b["Dp"].T, b["Bp"].T],
+            [-b["Mfe"].T, None, b["Ae"], None, -alpha * b["Dep"].T, b["Be"].T],
+            [b["Df"], None, None, None, None, None],
+            [None, b["Dp"], None, None, None, None],
+            [-b["Bf"], -b["Bp"], None, None, None, None],
+        ], self.sizes)
+
+    @property
+    def M(self) -> sp.csr_matrix:
+        """The step operator ``E / tau + H``, built on each read."""
+        return (self.E / self.tau + self.H).tocsr()
 
     @property
     def lu(self) -> LUSolver | None:
@@ -858,8 +881,10 @@ class CoupledSystem:
         S = self.dofs(("uf", "up", "pf", "lam"))
         cons = self.constraints.restrict(S)
         interior = [np.searchsorted(S, self.interior_dofs((n,))) for n in ("uf", "up")]
-        op = ConstrainedOperator(self.H[S][:, S], cons, interior=interior)
-        rhs = self.load(0.0) - self.H @ state.X - self.E @ self.pack(eta=etad)
+        H = self.H
+        op = ConstrainedOperator(H[S][:, S], cons, interior=interior)
+        rhs = self.load(0.0) - H @ state.X - self.E @ self.pack(eta=etad)
+        del H             # not held while the slice is factorized
         state.X[S] = op.solve(rhs[S], cons.values(0.0))
 
     # -- stepping ---------------------------------------------------------------

@@ -52,14 +52,17 @@ class CellGeometry:
         self.invJT = np.swapaxes(inv, 1, 2)
         self.areas = 0.5 * self.detJ
 
-    def map_points(self, ref_points: np.ndarray) -> np.ndarray:
-        """Physical coordinates (m, q, 2) of reference points (q, 2)."""
-        return self.v0[:, None, :] + np.matmul(ref_points, np.swapaxes(self.J, 1, 2))
+    def map_points(self, ref_points: np.ndarray, cells=slice(None)) -> np.ndarray:
+        """Physical coordinates (m, q, 2) of reference points (q, 2) in
+        ``cells`` (every cell by default)."""
+        return self.v0[cells, None, :] + np.matmul(ref_points, np.swapaxes(self.J[cells], 1, 2))
 
-    def quadrature(self, rule: QuadratureRule):
-        """Physical points (m, q, 2) and weights (m, q) of ``rule`` on every
-        cell, computed on each call and owned by the caller."""
-        return self.map_points(rule.points), rule.weights[None, :] * (2.0 * self.areas)[:, None]
+    def quadrature(self, rule: QuadratureRule, cells=slice(None)):
+        """Physical points (m, q, 2) and weights (m, q) of ``rule`` on
+        ``cells`` (every cell by default), computed on each call and owned
+        by the caller."""
+        return (self.map_points(rule.points, cells),
+                rule.weights[None, :] * (2.0 * self.areas[cells])[:, None])
 
     def ref_coords(self, cells, phys: np.ndarray) -> np.ndarray:
         """Reference coordinates (n, q, 2) of physical points (n, q, 2) in ``cells``."""
@@ -94,9 +97,9 @@ class FESpace:
 
     # -- tabulation ---------------------------------------------------------
 
-    def tabulate(self, rule: QuadratureRule):
-        """Physical basis data at the rule's points, computed on each call
-        and owned by the caller.
+    def tabulate(self, rule: QuadratureRule, cells=slice(None)):
+        """Physical basis data at the rule's points in ``cells`` (every cell
+        by default), computed on each call and owned by the caller.
 
         Scalar CG: ``(vals (n_loc, q), grads (m, n_loc, q, 2))``.
         RT: ``(vals (m, n_loc, q, 2), divs (m, n_loc, q))``.
@@ -104,9 +107,9 @@ class FESpace:
         expand components on the fly.
         """
         if self.rt_order is not None:
-            return self._rt_basis(slice(None), self.geometry.quadrature(rule)[0])
+            return self._rt_basis(cells, self.geometry.map_points(rule.points, cells))
         vals, gref = SCALAR_ELEMENTS[self.scalar_name].tabulate(rule.points)
-        return vals, np.matmul(gref, self.geometry.invJ[:, None])
+        return vals, np.matmul(gref, self.geometry.invJ[cells, None])
 
     def ref_values(self, rule: QuadratureRule) -> np.ndarray:
         """Scalar component values (n_loc, q) of a Lagrange family at the

@@ -153,35 +153,36 @@ def _field_norms(space: FESpace, coeffs: np.ndarray, times, exact: Separable,
     ``coeffs`` holds one state per column, (n_dofs, S), at ``times`` (S,).
     Returns the rows ||u_h - u||^2, |u_h - u|_1^2, ||u||^2 and |u|_1^2,
     each (S,); the seminorm rows are zero without ``exact_grad``.  The
-    cells are walked in chunks of ``NORM_CHUNK``.
+    cells are walked in chunks of ``NORM_CHUNK``, each with its own
+    quadrature points and physical basis data, so the memory they take
+    does not grow with the mesh.
     """
     rule = _norm_rule(space)
-    pts, w = space.geometry.quadrature(rule)
     S = coeffs.shape[1]
     G = np.array([[g(t) for t in times] for g in exact.terms])
-    if space.rt_order is not None:
-        basis, _ = space.tabulate(rule)            # (m, n_loc, q, 2)
-    else:
+    if space.rt_order is None:
         basis = space.ref_values(rule).T           # (q, n_s)
     if exact_grad is not None:
-        _, grads = space.tabulate(rule)            # (m, n_s, q, 2)
         G_grad = np.array([[g(t) for t in times] for g in exact_grad.terms])
     out = np.zeros((4, S))
-    for a in range(0, len(w), NORM_CHUNK):
+    for a in range(0, len(space.cell_dofs), NORM_CHUNK):
         cells = slice(a, a + NORM_CHUNK)
         c = coeffs[space.cell_dofs[cells]]         # (mc, n_loc, S)
         mc = len(c)
-        flat, wc = pts[cells].reshape(-1, 2), w[cells].ravel()
+        pts, w = space.geometry.quadrature(rule, cells)
+        flat, wc = pts.reshape(-1, 2), w.ravel()
         if space.rt_order is not None:
-            uh = np.matmul(np.swapaxes(basis[cells].reshape(mc, c.shape[1], -1), 1, 2), c)
+            vals, _ = space.tabulate(rule, cells)  # (mc, n_loc, q, 2)
+            uh = np.matmul(np.swapaxes(vals.reshape(mc, c.shape[1], -1), 1, 2), c)
         else:
             if space.vector:
                 c = c.reshape(mc, -1, 2 * S)       # interleaved (x, y) per state
             uh = basis @ c
         out[0::2] += _chunk_norms(uh, exact, G, flat, wc)
         if exact_grad is not None:
+            _, grads = space.tabulate(rule, cells)  # (mc, n_s, q, 2)
             # gh[m, q, a, d] = sum_i grads[m, i, q, a] c[m, i, d]
-            gh = np.matmul(np.swapaxes(grads[cells].reshape(mc, c.shape[1], -1), 1, 2), c)
+            gh = np.matmul(np.swapaxes(grads.reshape(mc, c.shape[1], -1), 1, 2), c)
             out[1::2] += _chunk_norms(gh, exact_grad, G_grad, flat, wc, transpose=True)
     return out
 
@@ -406,8 +407,10 @@ def _darcy_extension(system: CoupledSystem, mu: np.ndarray) -> np.ndarray:
     of the system's ``H``, with the system's constraints on those fields.
     """
     S = system.dofs(("up", "pp"))
-    op = ConstrainedOperator(system.H[S][:, S], system.constraints.restrict(S))
-    rhs = -(system.H[S][:, system.dofs(("lam",))] @ mu)
+    H_S = system.H[S]
+    op = ConstrainedOperator(H_S[:, S], system.constraints.restrict(S))
+    rhs = -(H_S[:, system.dofs(("lam",))] @ mu)
+    del H_S           # not held while the slice is factorized
     return op.solve(rhs)[:system.sizes["up"]]
 
 

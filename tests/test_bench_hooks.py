@@ -1,7 +1,7 @@
 """The benchmark's trace hook still reads the factorization of a condensed
 system: ``perfbench/spans.py`` records ``lu.dense``, ``lu.n`` and
-``lu._fact.L`` / ``.U`` of ``CoupledSystem.lu``, and wraps the entry points
-its ``TARGETS`` name."""
+``lu._fact.L`` / ``.U`` of ``CoupledSystem.lu`` and the sizes of ``M`` and
+``M_ff``, and wraps the entry points its ``TARGETS`` name."""
 
 import importlib
 import importlib.util
@@ -33,6 +33,8 @@ def test_record_system_reads_condensed_factor(spans, n):
     tracer = spans.Tracer()
     spans._record_system(tracer, (system,), None)
     fill = tracer.systems[-1]["lu_fill"]
+    # ``M`` is built on each read, from the operators the system holds
+    assert tracer.systems[-1]["nnz_M"] == (system.E / system.tau + system.H).nnz
     # no more than the fill of the uncondensed factorization of the free matrix
     full = LUSolver(system.M_ff)
     assert 0 < fill <= full._fact.L.nnz + full._fact.U.nnz

@@ -262,6 +262,20 @@ def test_cli_non_finite_block_is_usage_error(tmp_path, capsys):
     assert "block Ap" in err and "mu" in err and "Warning" not in err
 
 
+def test_cli_non_finite_step_operator_is_usage_error(tmp_path, capsys):
+    # 1 / tau overflows, so E / tau cannot be formed: named with its
+    # parameters before anything is written, and without a numpy warning
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli(["run", "--scenario", "example2", "--resolution", "0.7", "--set", "tau=1e-310",
+                  "--final-time", "1e-310", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "E / tau" in err and "tau and s0" in err and "Warning" not in err
+    assert not out.exists()
+
+
 def test_cli_output_dir_is_unknown_key(tmp_path, capsys, monkeypatch):
     import stokesbiot.scenarios
 

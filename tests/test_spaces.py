@@ -306,6 +306,21 @@ def test_tabulate_matches_einsum(skewed_mesh, family):
     _assert_rel_close(grads, np.einsum("mab,iqb->miqa", space.geometry.invJT, gref))
 
 
+@pytest.mark.parametrize("family", ["P1", "VecP1bubble", "VecP2", "RT0", "RT1"])
+def test_tabulate_on_cells_is_a_slice_of_the_whole(skewed_mesh, family):
+    """Quadrature and basis data on a range of cells equal, bit for bit, the
+    same rows of those on every cell."""
+    space = make_space(skewed_mesh, family)
+    rule = _norm_rule(space)
+    cells = slice(3, skewed_mesh.n_tris - 2)
+    whole = [*space.geometry.quadrature(rule), *space.tabulate(rule)]
+    part = [*space.geometry.quadrature(rule, cells), *space.tabulate(rule, cells)]
+    if space.rt_order is None:        # reference values, the same on every cell
+        np.testing.assert_array_equal(part.pop(2), whole.pop(2))
+    for w, p in zip(whole, part):
+        np.testing.assert_array_equal(p, w[cells])
+
+
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_basis_values_match_tabulate(skewed_mesh, family):
     """The per-cell evaluator at the cached quadrature points gives the values

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -264,6 +266,30 @@ def test_error_norms_independent_of_chunking(run8_pair, monkeypatch):
     for k in NORM_KEYS:
         assert chunked.rel_errors[k] == pytest.approx(default.rel_errors[k], rel=1e-13, abs=0), k
         assert chunked.abs_errors[k] == pytest.approx(default.abs_errors[k], rel=1e-13, abs=0), k
+
+
+def _error_norms_transient(n):
+    """The traced memory peak of ``error_norms`` above what was held before
+    it, on the low-order, non-matching system at h = 1/n."""
+    ms = example1_solution()
+    system = example1_system(n, LOW_ORDER, matching=False)
+    states, _ = run_example1(system, ms)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        error_norms(states, ms, system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - base
+
+
+def test_error_norms_transient_does_not_grow_with_the_mesh():
+    """Quadrature points and basis data are made one chunk of cells at a
+    time: from h = 1/16 to h = 1/32 the transient memory of the norms grows
+    by at most 1.3 times (1.07 measured; 1.80 with whole-mesh tabulations)."""
+    assert _error_norms_transient(32) <= 1.3 * _error_norms_transient(16)
 
 
 def test_rates_monotone_stabilizing():
