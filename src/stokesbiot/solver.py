@@ -32,8 +32,9 @@ wrong answer.  A Schur complement in which at most a fifth of the
 unknowns (the multipliers and the Taylor-Hood pressure) lack a diagonal,
 and whose diagonal entries and condensed cell blocks are within a bound of
 their scale, as in the Example 1 operators, is factorized in a symmetric
-minimum-degree order with diagonal pivots; any other, such as example2's,
-in SuperLU's COLAMD order with partial pivoting.
+minimum-degree order with diagonal pivots, each unknown without a diagonal
+eliminated right after the last of its neighbours with one; any other, such
+as example2's, in SuperLU's COLAMD order with partial pivoting.
 """
 
 from __future__ import annotations
@@ -95,12 +96,15 @@ class LUSolver:
     example2's, with coefficients from 1e-10 to 1e7, fail: ``interior_cond``
     is 2.3e4 and 8.9e4 at resolution 0.05, and ``diagonal_ratio`` 1.4e-5
     with nothing condensed.  A quasi-definite ``S`` has its kept unknowns
-    put in a symmetric minimum-degree order with those without a diagonal last
-    (``_symmetric_order``), and ``S`` is factorized in that order with
-    diagonal pivots, passing over one below 1e-8 of its column (a zero
-    pivot).  Otherwise SuperLU orders the columns by COLAMD and pivots by
-    threshold partial pivoting.  ``ordering`` tells which (``"symmetric"``
-    or ``"colamd"``), ``fill`` is the number of entries of ``L`` and ``U``.
+    put in a symmetric minimum-degree order in which each unknown without a
+    diagonal comes right after the last of its neighbours with one
+    (``_symmetric_order``): by then their elimination has given it a nonzero
+    diagonal.  ``S`` is factorized in that order with diagonal pivots,
+    passing over one below 1e-8 of its column (a zero pivot), and the
+    residual check below stays the safety net.  Otherwise SuperLU orders
+    the columns by COLAMD and pivots by threshold partial pivoting.
+    ``ordering`` tells which (``"symmetric"`` or ``"colamd"``), ``fill`` is
+    the number of entries of ``L`` and ``U``.
 
     The cells are eliminated without pivoting across cells, so a cell is
     condensed only if a bound on the entries it adds to ``S`` (its growth,
@@ -329,26 +333,43 @@ def _diagonal(S: sp.csr_matrix):
 
 def _symmetric_order(S: sp.csr_matrix, missing: np.ndarray) -> np.ndarray:
     """A symmetric fill-reducing order of the equilibrated ``S`` (new
-    position to old unknown), with the ``missing`` unknowns, those without a
-    diagonal, last.
+    position to old unknown) in which each of the ``missing`` unknowns,
+    those without a diagonal, comes after all of its neighbours that have
+    one.
 
     It is SuperLU's multiple minimum degree order of the pattern of
     ``|S| + |S|^T``, read from an incomplete factorization that drops almost
-    everything.  Diagonal pivots are then safe, except a zero one: MINI's
-    bubble term vanishes on constant pressures, so an order that eliminates
-    every pressure before the interface velocities meets the
-    constant-pressure mode as a zero pivot, which the factorization passes
-    over for an off-diagonal one.
+    everything, with each missing unknown moved to right after the last of
+    its neighbours with a diagonal (kept where it is if it already comes
+    later, and put last if it has none).  Eliminating those neighbours first
+    gives it a nonzero diagonal before it is pivoted on, and no dense
+    trailing block of all the missing unknowns (the Taylor-Hood pressure
+    and the multipliers: 1,153 of them in the high-order h = 1/32 step
+    operator) is formed, which about halves the fill there.  Diagonal
+    pivots are then safe, except a zero one: MINI's bubble term vanishes on
+    constant pressures, so an order that eliminates every pressure before
+    the interface velocities meets the constant-pressure mode as a zero
+    pivot, which the factorization passes over for an off-diagonal one; the
+    residual check of ``LUSolver.solve`` catches what a pivot order cannot.
     """
     n = S.shape[0]
     P = sp.csr_matrix((np.ones(S.nnz), S.indices, S.indptr), shape=S.shape)
     P = (P + P.T + n * sp.identity(n)).tocsc()
     perm_c = spla.spilu(P, permc_spec="MMD_AT_PLUS_A", drop_tol=0.99, fill_factor=1,
                         diag_pivot_thresh=0.0, options={"SymmetricMode": True}).perm_c
+    # P is symmetric: the rows of its columns at the missing unknowns are their neighbours
+    miss = np.nonzero(missing)[0]
+    cols = P[:, miss]
     del P
-    order = np.argsort(perm_c)          # perm_c[j] is the new position of unknown j
-    last = missing[order]
-    return np.concatenate([order[~last], order[last]])
+    has = ~missing[cols.indices]
+    which = np.repeat(np.arange(len(miss)), np.diff(cols.indptr))[has]
+    # perm_c[j] is the new position of unknown j; ``after`` is one past the
+    # last position of a neighbour with a diagonal, 0 for none
+    after = _max_by(which, perm_c[cols.indices[has]] + 1.0, len(miss)).astype(np.int64)
+    place = perm_c.astype(np.int64)
+    place[miss] = np.where(after > 0, np.maximum(after - 1, place[miss]), n)
+    # a missing unknown comes after the unknown whose place it shares; ties by unknown number
+    return np.argsort(2 * place + missing, kind="stable")
 
 
 def _scaled_svd(B: np.ndarray):

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -301,6 +302,23 @@ def test_rates_monotone_stabilizing():
     for k in ("uf_l2H1", "up_l2L2", "pp_linfL2", "eta_linfH1"):
         jumps = np.abs(np.diff(rates[k]))
         assert jumps[1] <= jumps[0] + 1e-3, (k, rates[k])
+
+
+def test_convergence_study_frees_each_level_before_the_next(monkeypatch):
+    """The level-k system, its factor and states are unreachable when the
+    level-k+1 system is built and factorized."""
+    systems, alive = [], []
+    build = verify.example1_system
+
+    def spy(*args, **kwargs):
+        alive.append([ref() is not None for ref in systems])
+        system = build(*args, **kwargs)
+        systems.append(weakref.ref(system))
+        return system
+
+    monkeypatch.setattr(verify, "example1_system", spy)
+    verify.convergence_study(LOW_ORDER, 3, n0=4, T=0.002)
+    assert alive == [[], [False], [False, False]]
 
 
 # ---------------------------------------------------------------------------
