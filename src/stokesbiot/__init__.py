@@ -2,7 +2,7 @@
 
 The package is organised bottom-up:
 
-- ``mesh``        triangulations, tagging, fracture geometry, mesh file I/O
+- ``mesh``        triangulations, tagging, fracture geometry, mesh file output
 - ``quadrature``  triangle and edge rules
 - ``elements``    reference element families (Lagrange, MINI), Raviart-Thomas monomials
 - ``spaces``      finite element spaces, DOF maps, Raviart-Thomas bases, projections

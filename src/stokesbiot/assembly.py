@@ -242,8 +242,8 @@ def make_multiplier_space(pairing: InterfacePairing, order: int) -> MultiplierSp
     return MultiplierSpace(pairing=pairing, order=order)
 
 
-def multiplier_mass(L: MultiplierSpace, squad: SegmentQuadrature | None = None) -> sp.csr_matrix:
-    squad = squad or segment_quadrature(L.pairing, INTERFACE_QUAD_DEGREE)
+def multiplier_mass(L: MultiplierSpace) -> sp.csr_matrix:
+    squad = segment_quadrature(L.pairing, INTERFACE_QUAD_DEGREE)
     lb = L.tabulate(squad.t_edge_p)       # (nb, nseg, q)
     eloc = np.einsum("ikq,jkq,kq->kij", lb, lb, squad.weights)
     rows = L.edge_dofs(L.pairing.seg_poro)

@@ -16,7 +16,7 @@ import math
 import os
 import sys
 
-from .config import ConfigError
+from .config import ConfigError, parse_set_pairs
 
 
 def _positive(kind):
@@ -29,6 +29,19 @@ def _positive(kind):
         if not (math.isfinite(value) and value > 0):
             raise argparse.ArgumentTypeError(f"{text!r} is not a positive {kind.__name__}")
         return value
+    return convert
+
+
+def _config_flag(flag, key):
+    """argparse type of a ``run`` flag that stands for ``--set key=``: the
+    ``(source, "key=text")`` pair of ``config.split_pair``, checked here."""
+    def convert(text):
+        pair = (f"{flag} {text}", f"{key}={text}")
+        try:
+            parse_set_pairs([pair])
+        except ConfigError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return pair
     return convert
 
 
@@ -61,8 +74,10 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--set", dest="sets", action="append", default=[],
                    metavar="KEY=VALUE", help="override a configuration value")
     r.add_argument("--config", default=None, help="configuration file")
-    r.add_argument("--resolution", type=_positive(float), default=0.04)
-    r.add_argument("--final-time", type=_positive(float), default=None)
+    r.add_argument("--resolution", dest="sets", action="append", metavar="RESOLUTION",
+                   type=_config_flag("--resolution", "resolution"), help="same as --set resolution=RESOLUTION (default 0.04)")
+    r.add_argument("--final-time", dest="sets", action="append", metavar="T",
+                   type=_config_flag("--final-time", "t"), help="same as --set t=T")
     r.add_argument("--out", default=".")
 
     m = sub.add_parser("mesh", help="generate meshes")
@@ -106,9 +121,9 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    from .config import apply_overrides, parse_config, parse_set_pairs
+    from .config import apply_overrides, parse_config, split_pair
     from .mesh import fracture_samples
-    from .scenarios import (example2_config, example3_config, run_scenario,
+    from .scenarios import (ScenarioConfig, example2_config, example3_config, run_scenario,
                             run_sensitivity, sensitivity_configs, sweep_threads,
                             synthetic_spe_standin, write_raster)
     from .solver import step_count
@@ -116,6 +131,7 @@ def _cmd_run(args) -> int:
 
     sets = parse_set_pairs(args.sets)
     sections = parse_config(args.config) if args.config else {}
+    resolution = sets.get("resolution", ScenarioConfig.resolution)
 
     name = args.scenario.lower()
     poro = os.path.join(args.out, "porosity.raster")
@@ -127,24 +143,22 @@ def _cmd_run(args) -> int:
             if case not in {"A", "B", "C", "D"}:
                 raise SystemExit(f"unknown sensitivity case {case!r}")
             cases = (case,)
-        configs = {c: cfg for c, cfg in sensitivity_configs(args.resolution).items() if c in cases}
+        configs = {c: cfg for c, cfg in sensitivity_configs(resolution).items() if c in cases}
     elif name == "example2":
-        configs = {name: example2_config(resolution=args.resolution)}
+        configs = {name: example2_config(resolution=resolution)}
     elif name == "example3":
         configs = {name: example3_config(porosity_raster=poro, permeability_raster=perm,
-                                         resolution=args.resolution)}
+                                         resolution=resolution)}
     else:
         raise SystemExit(f"unknown scenario {args.scenario!r}")
     configs = {c: apply_overrides(config, sections, sets) for c, config in configs.items()}
-    if args.final_time is not None:
-        from dataclasses import replace
-        configs = {c: replace(config, T=args.final_time) for c, config in configs.items()}
     for config in configs.values():    # before anything is written
         config.params.validate()
         try:
             step_count(config.T, config.tau)
         except ValueError as exc:
-            raise SystemExit(f"{'--final-time' if args.final_time else '[time] t / tau'}: {exc}") from None
+            given = [src for src, key, _ in map(split_pair, args.sets) if key in ("t", "tau")]
+            raise SystemExit(f"{' and '.join(given) or '[time] t / tau'}: {exc}") from None
         fracture_samples(config.resolution)
 
     if name.startswith("sensitivity"):
@@ -192,8 +206,8 @@ def _cmd_diag(args) -> int:
         from .verify import LOW_ORDER, UNSTABLE_CONTROL, example1_system, inf_sup_estimate
         print("inf-sup constants (stable low-order pairing vs unstable P1-P1 control):")
         for n in (4, 8, 16):
-            bs = inf_sup_estimate(example1_system(n, LOW_ORDER, factorize=False))
-            bu = inf_sup_estimate(example1_system(n, UNSTABLE_CONTROL, factorize=False))
+            bs = inf_sup_estimate(example1_system(n, LOW_ORDER))
+            bu = inf_sup_estimate(example1_system(n, UNSTABLE_CONTROL))
             print(f"  h=1/{n:2d}: stable beta_h = {bs:.4f}   control beta_h = {bu:.2e}")
     if args.energy:
         from .manufactured import example1_solution

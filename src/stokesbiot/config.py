@@ -148,18 +148,28 @@ def apply_overrides(config, sections: dict, extra_sets: dict | None = None):
     return replace(config, **updates)
 
 
+def split_pair(pair) -> tuple:
+    """``(source, key, text)`` of a ``--set`` string ``key=value``, or of a
+    ``(source, "key=value")`` tuple from a flag that stands for a key."""
+    source, pair = pair if isinstance(pair, tuple) else (f"--set {pair}", pair)
+    if "=" not in pair:
+        raise ConfigError(f"{source}: expected key=value")
+    key, _, text = pair.partition("=")
+    return source, key.strip().lower(), text
+
+
 def parse_set_pairs(pairs) -> dict:
-    """Validate ``--set key=value`` pairs against the schema; an error names
-    ``--set`` and the pair."""
-    merged = {}
+    """Validate command-line pairs (see ``split_pair``) against the schema;
+    an error names the source (``--set`` and the pair), and a key given
+    twice both sources."""
+    merged, given = {}, {}
     lookup = {k: spec for keys in _SCHEMA.values() for k, spec in keys.items()}
     for pair in pairs or ():
-        source = f"--set {pair}"
-        if "=" not in pair:
-            raise ConfigError(f"{source}: expected key=value")
-        key, _, val = pair.partition("=")
-        key = key.strip().lower()
+        source, key, text = split_pair(pair)
         if key not in lookup:
             raise ConfigError(f"{source}: unknown override key {key!r}")
-        merged[key] = _coerce(key, val, lookup[key], source=source)
+        if key in given:
+            raise ConfigError(f"{source}: {key!r} is already given by {given[key]}")
+        merged[key] = _coerce(key, text, lookup[key], source=source)
+        given[key] = source
     return merged

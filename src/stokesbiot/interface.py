@@ -65,10 +65,10 @@ class InterfacePairing:
         return float(self.seg_length.sum())
 
 
-def _collect_trace(mesh: Mesh2D, tag: str = "interface") -> Trace:
-    ids = mesh.boundary_edge_ids(tag)
+def _collect_trace(mesh: Mesh2D) -> Trace:
+    ids = mesh.boundary_edge_ids("interface")
     if len(ids) == 0:
-        raise GeometryMismatchError(f"mesh has no edges tagged {tag!r}")
+        raise GeometryMismatchError("mesh has no edges tagged 'interface'")
     owner, _ = mesh.bedge_owner()
     return Trace(bedges=ids, cells=owner[ids],
                  a=mesh.nodes[mesh.bedges[ids, 0]], b=mesh.nodes[mesh.bedges[ids, 1]])

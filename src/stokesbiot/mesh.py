@@ -25,11 +25,6 @@ FRACTURE_HALF_LENGTH = math.sqrt(0.5)
 GEOMETRIC_TOL = 1e-10  # times domain diameter, node-coincidence tolerance
 
 
-class MeshParseError(ConfigError):
-    """Raised for malformed mesh files; carries the path and the offending
-    line number."""
-
-
 @dataclass
 class Mesh2D:
     nodes: np.ndarray          # (n, 2) float
@@ -408,74 +403,3 @@ def write_mesh(mesh: Mesh2D, path) -> None:
             f.write(f"{i} {j} {k} {tag}\n")
         for (i, j), tag in zip(mesh.bedges, mesh.bedge_tags):
             f.write(f"{i} {j} {tag}\n")
-
-
-def read_mesh(path) -> Mesh2D:
-    with open(path) as f:
-        lines = f.read().splitlines()
-    if not lines:
-        raise MeshParseError("empty file", 1, path)
-    if lines[0].split() != ["mesh2d", "1"]:
-        raise MeshParseError(f"bad header {lines[0]!r}", 1, path)
-    if len(lines) < 2:
-        raise MeshParseError("missing size line", 2, path)
-    try:
-        n_nodes, n_tris, n_bedges = map(int, lines[1].split())
-    except ValueError:
-        raise MeshParseError(f"bad size line {lines[1]!r}", 2, path) from None
-
-    def need(idx):
-        if idx >= len(lines):
-            raise MeshParseError("unexpected end of file", idx + 1, path)
-        return lines[idx]
-
-    nodes = np.empty((n_nodes, 2))
-    for i in range(n_nodes):
-        ln = 2 + i
-        parts = need(ln).split()
-        try:
-            x, y = float(parts[0]), float(parts[1])
-        except (ValueError, IndexError):
-            raise MeshParseError(f"bad node line {lines[ln]!r}", ln + 1, path) from None
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise MeshParseError("non-finite coordinate", ln + 1, path)
-        nodes[i] = (x, y)
-
-    tris = np.empty((n_tris, 3), dtype=np.int64)
-    tri_tags = np.empty(n_tris, dtype="U16")
-    for i in range(n_tris):
-        ln = 2 + n_nodes + i
-        parts = need(ln).split()
-        if len(parts) != 4:
-            raise MeshParseError(f"bad triangle line {lines[ln]!r}", ln + 1, path)
-        try:
-            idx = [int(p) for p in parts[:3]]
-        except ValueError:
-            raise MeshParseError(f"bad triangle line {lines[ln]!r}", ln + 1, path) from None
-        for v in idx:
-            if not 0 <= v < n_nodes:
-                raise MeshParseError(f"triangle node index {v} out of range", ln + 1, path)
-        tris[i] = idx
-        tri_tags[i] = parts[3]
-
-    bedges = np.empty((n_bedges, 2), dtype=np.int64)
-    bedge_tags = np.empty(n_bedges, dtype="U16")
-    for i in range(n_bedges):
-        ln = 2 + n_nodes + n_tris + i
-        parts = need(ln).split()
-        if len(parts) != 3:
-            raise MeshParseError(f"bad boundary edge line {lines[ln]!r}", ln + 1, path)
-        try:
-            a, b = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise MeshParseError(f"bad boundary edge line {lines[ln]!r}", ln + 1, path) from None
-        for v in (a, b):
-            if not 0 <= v < n_nodes:
-                raise MeshParseError(f"edge node index {v} out of range", ln + 1, path)
-        bedges[i] = (a, b)
-        bedge_tags[i] = parts[2]
-
-    mesh = Mesh2D(nodes=nodes, tris=tris, tri_tags=tri_tags,
-                  bedges=bedges, bedge_tags=bedge_tags)
-    mesh.validate()
-    return mesh

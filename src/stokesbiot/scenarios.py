@@ -124,14 +124,12 @@ def lame_from_E_nu(E, nu):
     return lam, mu
 
 
-def youngs_from_porosity(phi, c: float = 0.5):
-    """E = 1e7 (1 - phi/c)^2.1; c is the porosity of vanishing stiffness."""
+def youngs_from_porosity(phi):
+    """E = 1e7 (1 - phi/0.5)^2.1; 0.5 is the porosity of vanishing stiffness."""
     phi = np.asarray(phi, dtype=float)
-    if c <= 0:
-        raise ValueError("critical porosity must be positive")
-    if np.any(phi < 0) or np.any(phi > c):
-        raise ValueError("porosity outside [0, c]")
-    E = 1e7 * (1.0 - phi / c) ** 2.1
+    if np.any(phi < 0) or np.any(phi > 0.5):
+        raise ValueError("porosity outside [0, 0.5]")
+    E = 1e7 * (1.0 - phi / 0.5) ** 2.1
     return float(E) if E.ndim == 0 else E
 
 
@@ -159,6 +157,8 @@ def synthetic_spe_standin(nx: int = 60, ny: int = 220):
 
 # ---------------------------------------------------------------------------
 # scenario configuration
+
+RESERVOIR_NU = 0.2     # Poisson ratio of every reservoir matrix
 
 
 @dataclass
@@ -189,8 +189,8 @@ class ScenarioConfig:
         return d
 
 
-def reservoir_params(E: float = 1e7, nu: float = 0.2, K=None, s0: float = 6.89e-2) -> PhysicalParams:
-    lam, mu_p = lame_from_E_nu(E, nu)
+def reservoir_params(E: float = 1e7, K=None, s0: float = 6.89e-2) -> PhysicalParams:
+    lam, mu_p = lame_from_E_nu(E, RESERVOIR_NU)
     K = np.diag([200e-12, 50e-12]) if K is None else K
     return PhysicalParams(mu=1e-6, K=K, lam_p=lam, mu_p=mu_p,
                           alpha=1.0, s0=s0, alpha_bjs=1.0)
@@ -245,9 +245,9 @@ def build_scenario_system(config: ScenarioConfig) -> CoupledSystem:
         perm_field.validate("permeability")
         phi = project_raster(poro_field, mesh_p)
         k_iso = project_raster(perm_field, mesh_p)
-        E = youngs_from_porosity(np.minimum(phi, 0.499), c=0.5)
-        E = np.maximum(E, 1.0)  # keep stiffness positive where porosity ~ c
-        lam, mu_p = lame_from_E_nu(E, 0.2)
+        E = youngs_from_porosity(np.minimum(phi, 0.499))
+        E = np.maximum(E, 1.0)  # keep stiffness positive where porosity ~ 0.5
+        lam, mu_p = lame_from_E_nu(E, RESERVOIR_NU)
         params = params.with_overrides(K=k_iso, lam_p=lam, mu_p=mu_p)
     if config.domain == "mapped":
         dmap = reservoir_domain_map()
@@ -295,11 +295,11 @@ def cell_mean_pressure(system: CoupledSystem, state) -> np.ndarray:
     return pp[space.cell_dofs[:, 0]] if space.family == "P0" else pp[space.cell_dofs].mean(axis=1)
 
 
-def scenario_summary(system: CoupledSystem, state, near_radius: float = 0.1) -> dict:
+def scenario_summary(system: CoupledSystem, state) -> dict:
     mesh_p = system.spaces["pp"].mesh
     centroids = mesh_p.nodes[mesh_p.tris].mean(axis=1)
     cell_pp = cell_mean_pressure(system, state)
-    near = interface_distances(mesh_p, centroids) <= near_radius
+    near = interface_distances(mesh_p, centroids) <= 0.1
     up_c = _rt_at_centroids(system.spaces["up"], system.view(state.X, "up"))
     eta = system.view(state.X, "eta")
     eta_nodes = eta.reshape(-1, 2)

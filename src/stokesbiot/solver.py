@@ -647,8 +647,7 @@ class ConstrainedOperator:
 
     The constrained node pairs are rotated once and the dofs split into free
     and fixed.  The free block ``A_ff`` is factorized on the first use of
-    ``lu`` (never if ``factorize`` is false), so an operator can be built
-    before another one's factor is freed.
+    ``lu``, so an operator can be built before another one's factor is freed.
     ``interior`` lists ``(m, k)`` arrays of cell-interior dofs in the
     numbering of ``A``, one row per cell; they must all be free, and ``LUSolver``
     condenses them out cell by cell.  A cell's set must have an invertible
@@ -660,10 +659,10 @@ class ConstrainedOperator:
 
     ``R_c`` holds the rows of the rotation on the fixed dofs (of the
     identity without one) and ``A_c = R_c A`` the rotated rows of ``A``
-    there, so a reaction needs no product with all of ``A``.
+    there, so ``CoupledSystem.reaction`` needs no product with all of ``A``.
     """
 
-    def __init__(self, A, constraints: Constraints, factorize: bool = True, interior=None):
+    def __init__(self, A, constraints: Constraints, interior=None):
         self.n = A.shape[0]
         self.R = constraints.rotation(self.n)
         At = A if self.R is None else (self.R @ A @ self.R.T).tocsr()
@@ -683,12 +682,12 @@ class ConstrainedOperator:
             if np.any(number[b] < 0):
                 raise ValueError(f"interior dof {int(b[number[b] < 0][0])} is constrained")
         self.interior = [number[b] for b in interior]      # in the free numbering
-        self._factorize, self._lu = factorize, None
+        self._lu = None
 
     @property
-    def lu(self) -> LUSolver | None:
-        """The factor of ``A_ff``, made on first access; None without ``factorize``."""
-        if self._lu is None and self._factorize:
+    def lu(self) -> LUSolver:
+        """The factor of ``A_ff``, made on first access."""
+        if self._lu is None:
             self._lu = LUSolver(self.A_ff, interior=self.interior)
         return self._lu
 
@@ -705,10 +704,6 @@ class ConstrainedOperator:
         X[self.free] = self.lu.solve(rhs[self.free] - self.A_fc @ g)
         X[self.fixed] = g
         return X if self.R is None else self.R.T @ X
-
-    def reaction(self, r: np.ndarray) -> np.ndarray:
-        """The part of the residual ``r`` on the constrained rows."""
-        return self.R_c.T @ (self.R_c @ r)
 
 
 # ---------------------------------------------------------------------------
@@ -745,8 +740,7 @@ class CoupledSystem:
     """
 
     def __init__(self, spaces: dict, L: MultiplierSpace, pairing: InterfacePairing,
-                 params: PhysicalParams, tau: float, bcs: list, data: dict | None = None,
-                 factorize: bool = True):
+                 params: PhysicalParams, tau: float, bcs: list, data: dict | None = None):
         if tau <= 0:
             raise ValueError("time step must be positive")
         self.spaces = spaces
@@ -800,7 +794,7 @@ class CoupledSystem:
         # pore pressure, whose cell block is singular without storage
         poro = ("up", "pp") if params.s0 > 0 else ("up",)
         interior = [self.interior_dofs(("uf",)), self.interior_dofs(poro)]
-        self.op = ConstrainedOperator(self.M, self.constraints, factorize, interior)
+        self.op = ConstrainedOperator(self.M, self.constraints, interior)
         self.M_ff = self.op.A_ff
         self._E_c = self.op.R_c @ self.E     # E on the constrained rows, for ``reaction``
         self._loads = None
@@ -825,9 +819,8 @@ class CoupledSystem:
         return (self.E / self.tau + self.H).tocsr()
 
     @property
-    def lu(self) -> LUSolver | None:
-        """The factor of the step operator, made on first access; None for a
-        system built with ``factorize=False``."""
+    def lu(self) -> LUSolver:
+        """The factor of the step operator, made on first access."""
         return self.op.lu
 
     def interior_dofs(self, names) -> np.ndarray:
@@ -877,18 +870,17 @@ class CoupledSystem:
 
     # -- initial data ----------------------------------------------------------
 
-    def initial_state(self, pp0=None, eta0=None, eta_dot0=None, consistency_solve: bool = True) -> TransientState:
-        """Project initial pressure / displacement; optionally fill the
-        algebraic variables (u_f, u_p, p_f, lambda) by a Stokes-Darcy solve.
-        Then factorize the step operator, once that solve's factor is freed."""
+    def initial_state(self, pp0=None, eta0=None, eta_dot0=None) -> TransientState:
+        """Project initial pressure / displacement and fill the algebraic
+        variables (u_f, u_p, p_f, lambda) by a Stokes-Darcy solve.  Then
+        factorize the step operator, once that solve's factor is freed."""
         X = np.zeros(self.n_dofs)
         if pp0 is not None:
             self.view(X, "pp")[:] = l2_project(self.spaces["pp"], pp0)
         if eta0 is not None:
             self.view(X, "eta")[:] = nodal_interpolate(self.spaces["eta"], eta0)
         state = TransientState(X=X, n=0, tau=self.tau)
-        if consistency_solve:
-            self._consistent_initialize(state, eta_dot0)
+        self._consistent_initialize(state, eta_dot0)
         self.lu       # the step factor, made only now
         return state
 

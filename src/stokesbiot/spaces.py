@@ -313,8 +313,8 @@ def default_quad_degree(*spaces: FESpace) -> int:
 # projections and interpolation
 
 
-def mass_matrix(space: FESpace, rule: QuadratureRule | None = None) -> sp.csr_matrix:
-    rule = rule or triangle_rule(default_quad_degree(space))
+def mass_matrix(space: FESpace) -> sp.csr_matrix:
+    rule = triangle_rule(default_quad_degree(space))
     _, w = space.geometry.quadrature(rule)
     if space.rt_order is not None:
         vals, _ = space.tabulate(rule)
@@ -347,9 +347,9 @@ def scatter(eloc, rows_dofs, cols_dofs, shape) -> sp.csr_matrix:
     return mat.tocsr()
 
 
-def load_vector(space: FESpace, f, rule: QuadratureRule | None = None) -> np.ndarray:
+def load_vector(space: FESpace, f) -> np.ndarray:
     """Assemble (f, phi) for all basis functions phi of ``space``."""
-    rule = rule or triangle_rule(default_quad_degree(space) + 2)
+    rule = triangle_rule(default_quad_degree(space) + 2)
     pts, w = space.geometry.quadrature(rule)
     fx = np.asarray(f(pts.reshape(-1, 2)))
     if space.rt_order is not None:

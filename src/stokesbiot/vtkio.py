@@ -17,7 +17,7 @@ CSV_HEADER = ("h,e_uf_H1,rate,e_pf_L2,rate,e_up_L2,rate,"
 
 
 def write_vtk(path, mesh: Mesh2D, point_data: dict | None = None,
-              cell_data: dict | None = None, title: str = "stokesbiot fields") -> None:
+              cell_data: dict | None = None) -> None:
     """Legacy ASCII VTK unstructured grid of triangles (cell type 5)."""
     point_data = point_data or {}
     cell_data = cell_data or {}
@@ -33,7 +33,7 @@ def write_vtk(path, mesh: Mesh2D, point_data: dict | None = None,
 
     with open(path, "w") as f:
         f.write("# vtk DataFile Version 3.0\n")
-        f.write(title + "\n")
+        f.write("stokesbiot fields\n")
         f.write("ASCII\n")
         f.write("DATASET UNSTRUCTURED_GRID\n")
         f.write(f"POINTS {mesh.n_nodes} double\n")

@@ -6,6 +6,7 @@ import math
 import numpy as np
 
 from stokesbiot.elements import SCALAR_ELEMENTS, _bary
+from stokesbiot.mesh import Mesh2D
 from stokesbiot.quadrature import edge_rule, triangle_rule
 from stokesbiot.verify import _darcy_extension
 
@@ -50,6 +51,21 @@ def read_vtk_points(path) -> np.ndarray:
             pts = [tuple(map(float, lines[i + 1 + k].split())) for k in range(n)]
             return np.array(pts)[:, :2]
     raise ValueError("no POINTS section found")
+
+
+def read_mesh_file(path) -> Mesh2D:
+    """Re-parse a mesh written by ``mesh.write_mesh`` (no error handling)."""
+    with open(path) as f:
+        lines = f.read().splitlines()
+    n_nodes, n_tris, n_bedges = map(int, lines[1].split())
+    rows = [line.split() for line in lines[2:]]
+    nodes, tris, bedges = rows[:n_nodes], rows[n_nodes:n_nodes + n_tris], rows[n_nodes + n_tris:]
+    assert len(bedges) == n_bedges
+    return Mesh2D(nodes=np.array(nodes, dtype=float),
+                  tris=np.array([r[:3] for r in tris], dtype=np.int64),
+                  tri_tags=np.array([r[3] for r in tris]),
+                  bedges=np.array([r[:2] for r in bedges], dtype=np.int64).reshape(-1, 2),
+                  bedge_tags=np.array([r[2] for r in bedges]))
 
 
 def eval_basis(family: str, points: np.ndarray):

@@ -189,7 +189,7 @@ def test_criterion_5_energy_identity(low_matching, example2_summary):
 def test_criterion_6_stability():
     from stokesbiot.assembly import Separable
     from stokesbiot.manufactured import verification_params
-    from stokesbiot.solver import DirichletBC
+    from stokesbiot.solver import DirichletBC, TransientState
 
     params = verification_params()
     zero_vec = lambda p, t: np.zeros((len(p), 2))
@@ -198,7 +198,7 @@ def test_criterion_6_stability():
            DirichletBC("eta", ("outer",), value=zero_vec)]
     system = example1_system(8, LOW_ORDER, params=params, data_override=data, bcs_override=bcs)
     rng = np.random.default_rng(1234)
-    state = system.initial_state(consistency_solve=False)
+    state = TransientState(X=np.zeros(system.n_dofs), n=0, tau=system.tau)
     system.view(state.X, "pp")[:] = rng.standard_normal(system.sizes["pp"])
     eta = rng.standard_normal(system.sizes["eta"])
     mesh = system.spaces["eta"].mesh
@@ -221,10 +221,10 @@ def test_criterion_6_stability():
 
 
 def test_criterion_7_inf_sup():
-    betas = [inf_sup_estimate(example1_system(n, LOW_ORDER, factorize=False))
+    betas = [inf_sup_estimate(example1_system(n, LOW_ORDER))
              for n in (4, 8, 16)]
     stable_ok = min(betas) > 0 and max(betas) / min(betas) < 2.0
-    controls = [inf_sup_estimate(example1_system(n, UNSTABLE_CONTROL, factorize=False))
+    controls = [inf_sup_estimate(example1_system(n, UNSTABLE_CONTROL))
                 for n in (4, 8, 16)]
     # Equal-order P1-P1 is outright singular on this mesh family (exact
     # spurious pressure modes): beta is numerically zero at every level,
@@ -334,7 +334,7 @@ def test_criterion_8_oracles(single_cell_mesh, affine_cell_mesh):
 def test_criterion_9_patch_test():
     worst = {}
     for name, elements in (("low", LOW_ORDER), ("high", HIGH_ORDER)):
-        errors = patch_test(elements, n=4, steps=3)
+        errors = patch_test(elements)
         worst[name] = max(errors.values())
     ok = all(v < 1e-10 for v in worst.values())
     report(9, "patch test", ok,

@@ -650,8 +650,7 @@ def _closure_load(system, t):
 def test_load_matches_closure_assembly(elements, matching):
     from stokesbiot import verify
 
-    system = verify.example1_system(4, getattr(verify, elements), matching=matching,
-                                    factorize=False)
+    system = verify.example1_system(4, getattr(verify, elements), matching=matching)
     for t in (0.0, 3.7e-4, 1e-2, 0.5):
         want = _closure_load(system, t)
         assert np.abs(system.load(t) - want).max() <= 1e-13 * np.abs(want).max()
@@ -662,7 +661,7 @@ def test_constant_load_identical_at_every_time():
 
     data = {"darcy_pressure": (("outer",), Separable(lambda p: np.full(len(p), 1000.0))),
             "qp": Separable(lambda p: np.sin(p[:, 0]))}
-    system = example1_system(4, LOW_ORDER, data_override=data, factorize=False)
+    system = example1_system(4, LOW_ORDER, data_override=data)
     L0 = system.load(0.0)
     assert np.abs(system.view(L0, "up")).max() > 0 and np.abs(system.view(L0, "pp")).max() > 0
     for t in (3.7e-4, 1e-2, 0.5, 123.0):

@@ -8,14 +8,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from stokesbiot.cli import cli
-from stokesbiot.config import ConfigError, parse_config, parse_set_pairs
-from stokesbiot.mesh import Mesh2D, build_structured, read_mesh
+from stokesbiot.config import _SCHEMA, ConfigError, parse_config, parse_set_pairs
+from stokesbiot.mesh import Mesh2D, build_structured
 from stokesbiot.verify import NORM_KEYS
 from stokesbiot.vtkio import CSV_HEADER, convergence_csv, write_vtk
 
-from helpers import read_vtk_points
+from helpers import read_mesh_file, read_vtk_points
 
 TAGS = {"left": "left", "right": "right", "bottom": "bottom", "top": "top"}
 
@@ -292,18 +294,113 @@ def test_cli_output_dir_is_unknown_key(tmp_path, capsys, monkeypatch):
         assert "unknown" in err and "'dir'" in err
 
 
+@pytest.mark.parametrize("argv,first,second", [
+    (["--resolution", "0.2", "--final-time", "1", "--set", "t=2.5"], "--final-time 1", "--set t=2.5"),
+    (["--set", "mu=1", "--set", "mu=2"], "--set mu=1", "--set mu=2"),
+    (["--resolution", "0.2", "--set", "resolution=0.3"], "--resolution 0.2", "--set resolution=0.3"),
+    (["--set", "t=5", "--final-time", "5"], "--set t=5", "--final-time 5"),
+    (["--resolution", "0.2", "--resolution", "0.3"], "--resolution 0.2", "--resolution 0.3"),
+], ids=["final-time-and-set-t", "set-twice", "resolution-and-set", "equal-values", "flag-twice"])
+def test_cli_value_given_twice_is_usage_error(tmp_path, capsys, monkeypatch, argv, first, second):
+    # the first of the two used to be dropped without a word
+    import stokesbiot.scenarios
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("no scenario may be built")
+
+    monkeypatch.setattr(stokesbiot.scenarios, "build_scenario_system", no_build)
+    out = tmp_path / "out"
+    rc = cli(["run", "--scenario", "example2", *argv, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert first in err and second in err
+    assert not out.exists()
+
+
+def test_set_pairs_reject_a_key_given_twice():
+    with pytest.raises(ConfigError, match=r"^--set mu=2: 'mu' is already given by --set mu=1$"):
+        parse_set_pairs(["mu=1", "s0=0.5", "mu=2"])
+
+
+@pytest.mark.parametrize("argv,config,source", [
+    (["--set", "t=1.5"], None, "--set t=1.5"),
+    (["--set", "tau=0.7"], None, "--set tau=0.7"),
+    (["--final-time", "2", "--set", "tau=0.3"], None, "--final-time 2 and --set tau=0.3"),
+    ([], "[time]\nt = 1.5\n", "[time] t / tau"),
+])
+def test_cli_step_count_error_names_its_source(tmp_path, capsys, argv, config, source):
+    out = tmp_path / "out"
+    cfg = tmp_path / "run.cfg"
+    if config is not None:
+        cfg.write_text(config)
+        argv = argv + ["--config", str(cfg)]
+    rc = cli(["run", "--scenario", "example2", "--resolution", "0.2", *argv, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(source + ": final time ")
+    assert not out.exists()
+
+
+_KEYS = {k: spec for keys in _SCHEMA.values() for k, spec in keys.items()}
+_RANGED = {k: spec for k, spec in _KEYS.items() if spec[2]}
+
+
+def _out_of_range(key):
+    kind, check, _ = _RANGED[key]
+    if kind == "int":
+        return st.integers(max_value=-1).map(str)
+    return st.floats(allow_nan=False, allow_infinity=False).filter(lambda v: not check(v)).map(repr)
+
+
+def _in_range(key):
+    kind, check, _ = _KEYS[key]
+    if kind == "int":
+        return st.integers(min_value=0, max_value=9).map(str)
+    return st.floats(min_value=0.0, max_value=1.0, exclude_min=True).filter(check).map(repr)
+
+
+BAD_SET_PAIRS = st.one_of(
+    st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8)
+    .filter(lambda k: k not in _KEYS).map(lambda k: [f"{k}=1"]),
+    st.tuples(st.sampled_from(sorted(_KEYS)), st.text("bcdghjklmopqrsuvwxz,;", max_size=6))
+    .map(lambda kv: ["=".join(kv)]),
+    st.tuples(st.sampled_from(sorted(_KEYS)), st.sampled_from(["inf", "-inf", "nan", "1e999"]))
+    .map(lambda kv: ["=".join(kv)]),
+    st.sampled_from(sorted(_RANGED)).flatmap(lambda k: _out_of_range(k).map(lambda v: [f"{k}={v}"])),
+    # a valid key given twice
+    st.sampled_from(sorted(_KEYS)).flatmap(
+        lambda k: st.lists(_in_range(k).map(lambda v: f"{k}={v}"), min_size=2, max_size=2)),
+)
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pairs=BAD_SET_PAIRS)
+def test_cli_bad_set_pair_property(tmp_path, capsys, pairs):
+    # unknown keys, non-numbers, non-finite and out-of-range values, and a
+    # key given twice, all fail in the parse: before the resolution of 2.0,
+    # too coarse to mesh, is checked, and before anything is built
+    out = tmp_path / "out"
+    argv = ["run", "--scenario", "example2", "--resolution", "2.0", "--out", str(out)]
+    rc = cli(argv + [a for pair in pairs for a in ("--set", pair)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert any(f"--set {pair}" in err for pair in pairs) and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_mesh_rect(tmp_path):
     out = tmp_path / "rect.mesh"
     assert cli(["mesh", "--make", "rect", "--nx", "4", "--ny", "3", "--out", str(out)]) == 0
-    mesh = read_mesh(out)
+    mesh = read_mesh_file(out)
     assert mesh.n_tris == 24
 
 
 def test_cli_mesh_fracture(tmp_path):
     prefix = tmp_path / "frac"
     assert cli(["mesh", "--make", "fracture", "--resolution", "0.08", "--out", str(prefix)]) == 0
-    fluid = read_mesh(f"{prefix}_fluid.mesh")
-    poro = read_mesh(f"{prefix}_poro.mesh")
+    fluid = read_mesh_file(f"{prefix}_fluid.mesh")
+    poro = read_mesh_file(f"{prefix}_poro.mesh")
     assert len(fluid.boundary_edge_ids("interface")) == len(poro.boundary_edge_ids("interface"))
 
 

@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from stokesbiot.mesh import (FRACTURE_HALF_LENGTH, MeshParseError, _mesh_from_rows, apply_domain_map,
+from stokesbiot.mesh import (FRACTURE_HALF_LENGTH, Mesh2D, _mesh_from_rows, apply_domain_map,
                              build_fracture_domain, build_structured, fracture_half_width,
-                             polyline_hausdorff, read_mesh, reservoir_domain_map, write_mesh)
+                             polyline_hausdorff, reservoir_domain_map, write_mesh)
+
+from helpers import read_mesh_file
 
 TAGS = {"left": "left", "right": "right", "bottom": "bottom", "top": "top"}
 
@@ -181,14 +183,14 @@ def test_mapped_example_mesh_min_area_positive():
     assert mapped.signed_areas().min() > 0
 
 
-# -- mesh file I/O -------------------------------------------------------------
+# -- mesh file output ----------------------------------------------------------
 
 
 def test_mesh_roundtrip(tmp_path):
     mesh = build_structured((0, 1, -1, 0), 5, 4, "poro", TAGS)
     path = tmp_path / "m.mesh"
     write_mesh(mesh, path)
-    back = read_mesh(path)
+    back = read_mesh_file(path)
     assert np.array_equal(back.tris, mesh.tris)
     assert np.array_equal(back.bedges, mesh.bedges)
     assert np.array_equal(back.bedge_tags, mesh.bedge_tags)
@@ -199,61 +201,20 @@ def test_fracture_roundtrip(tmp_path):
     fluid, _ = build_fracture_domain(0.06)
     path = tmp_path / "f.mesh"
     write_mesh(fluid, path)
-    back = read_mesh(path)
+    back = read_mesh_file(path)
     assert np.array_equal(back.tris, fluid.tris)
     assert np.allclose(back.nodes, fluid.nodes, atol=0)
 
 
-def test_read_empty_file(tmp_path):
-    path = tmp_path / "empty.mesh"
-    path.write_text("")
-    with pytest.raises(MeshParseError):
-        read_mesh(path)
-
-
-def test_read_bad_header(tmp_path):
-    path = tmp_path / "bad.mesh"
-    path.write_text("mesh3d 1\n0 0 0\n")
-    with pytest.raises(MeshParseError) as err:
-        read_mesh(path)
-    assert err.value.line == 1
-
-
-def test_read_index_out_of_range(tmp_path):
-    path = tmp_path / "idx.mesh"
-    path.write_text("mesh2d 1\n3 1 0\n0 0\n1 0\n0 1\n0 1 5 poro\n")
-    with pytest.raises(MeshParseError) as err:
-        read_mesh(path)
-    assert err.value.line == 6
-    assert "line 6" in str(err.value)
-
-
-def test_read_error_names_file_and_line(tmp_path):
-    path = tmp_path / "bad.mesh"
-    path.write_text("mesh2d 1\n3 1 0\n0 0\n1 0\n0 1\n0 1 x poro\n")
-    with pytest.raises(MeshParseError) as err:
-        read_mesh(path)
-    assert err.value.path == path
-    assert str(err.value).startswith(f"{path}: line 6: ")
-
-
-def test_read_nonfinite_coordinate(tmp_path):
-    path = tmp_path / "nan.mesh"
-    path.write_text("mesh2d 1\n3 1 0\n0 0\nnan 0\n0 1\n0 1 2 poro\n")
-    with pytest.raises(MeshParseError) as err:
-        read_mesh(path)
-    assert err.value.line == 4
-
-
-def test_read_edge_of_three_cells(tmp_path):
+def test_read_edge_of_three_cells():
     # edge (0, 1) borders all three triangles; each area is positive and
     # every other edge is a tagged boundary edge
-    path = tmp_path / "fan.mesh"
-    path.write_text("mesh2d 1\n5 3 6\n0 0\n1 0\n0 1\n0 -1\n0.5 1\n"
-                    "0 1 2 poro\n1 0 3 poro\n0 1 4 poro\n"
-                    "1 2 b\n2 0 b\n0 3 b\n3 1 b\n1 4 b\n4 0 b\n")
+    mesh = Mesh2D(nodes=np.array([[0, 0], [1, 0], [0, 1], [0, -1], [0.5, 1]], dtype=float),
+                  tris=np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]]), tri_tags=np.array(["poro"] * 3),
+                  bedges=np.array([[1, 2], [2, 0], [0, 3], [3, 1], [1, 4], [4, 0]]),
+                  bedge_tags=np.array(["b"] * 6))
     with pytest.raises(ValueError, match=r"edge \(0, 1\) borders 3 cells"):
-        read_mesh(path)
+        mesh.validate()
 
 
 def _bedge_owner_by_dict(mesh):

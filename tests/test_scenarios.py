@@ -41,10 +41,10 @@ def test_lame_incompressible_guard():
 
 def test_youngs_from_porosity():
     assert youngs_from_porosity(0.0) == pytest.approx(1e7)
-    assert youngs_from_porosity(0.5, c=0.5) == 0.0
-    assert youngs_from_porosity(0.25, c=0.5) == pytest.approx(1e7 * 0.5**2.1, rel=1e-12)
+    assert youngs_from_porosity(0.5) == 0.0
+    assert youngs_from_porosity(0.25) == pytest.approx(1e7 * 0.5**2.1, rel=1e-12)
     with pytest.raises(ValueError):
-        youngs_from_porosity(0.6, c=0.5)
+        youngs_from_porosity(0.6)
     phi = np.linspace(0.0, 0.5, 20)
     E = youngs_from_porosity(phi)
     assert np.all(np.diff(E) < 0)

@@ -131,9 +131,9 @@ def test_inf_sup_unstable_control_singular():
     """Equal-order P1-P1 carries exact spurious pressure modes on this mesh
     family, so the control's inf-sup constant is numerically zero (the
     strongest form of instability the diagnostic can report)."""
-    stable = inf_sup_estimate(example1_system(8, LOW_ORDER, factorize=False))
-    b4 = inf_sup_estimate(example1_system(4, UNSTABLE_CONTROL, factorize=False))
-    b8 = inf_sup_estimate(example1_system(8, UNSTABLE_CONTROL, factorize=False))
+    stable = inf_sup_estimate(example1_system(8, LOW_ORDER))
+    b4 = inf_sup_estimate(example1_system(4, UNSTABLE_CONTROL))
+    b8 = inf_sup_estimate(example1_system(8, UNSTABLE_CONTROL))
     assert max(b4, b8) < 1e-6 * stable or b4 / max(b8, 1e-300) > 2.0
 
 
@@ -327,6 +327,6 @@ def test_convergence_study_frees_each_level_before_the_next(monkeypatch):
 
 @pytest.mark.parametrize("elements", [LOW_ORDER, HIGH_ORDER], ids=["low", "high"])
 def test_patch_solution_reproduced(elements):
-    errors = patch_test(elements, n=4, steps=3)
+    errors = patch_test(elements)
     for name, err in errors.items():
         assert err < 1e-10, (name, err)
