@@ -97,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_converge(args) -> int:
     from .verify import HIGH_ORDER, LOW_ORDER, convergence_study
-    from .vtkio import convergence_csv, write_manifest
+    from .vtkio import convergence_csv, write_manifest, write_output
 
     elements = LOW_ORDER if args.elements == "low" else HIGH_ORDER
     matching = args.matching == "yes"
@@ -106,8 +106,7 @@ def _cmd_converge(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     name = f"convergence_{args.elements}_{'matching' if matching else 'nonmatching'}"
     path = os.path.join(args.out, name + ".csv")
-    with open(path, "w") as f:
-        f.write(csv)
+    write_output(path, csv)
     rows = [{"h": r.h, "dof_counts": r.dof_counts, "rel_errors": r.rel_errors,
              "abs_errors": r.abs_errors} for r in table.rows]
     rates = {k: [r if math.isfinite(r) else None for r in v] for k, v in table.rates().items()}
@@ -158,7 +157,9 @@ def _cmd_run(args) -> int:
             step_count(config.T, config.tau)
         except ValueError as exc:
             given = [src for src, key, _ in map(split_pair, args.sets) if key in ("t", "tau")]
-            raise SystemExit(f"{' and '.join(given) or '[time] t / tau'}: {exc}") from None
+            given += [f"{args.config}: [time] {key} = {value!r}"
+                      for key, value in sections.get("time", {}).items() if key not in sets]
+            raise SystemExit(f"{' and '.join(given)}: {exc}") from None
         fracture_samples(config.resolution)
 
     if name.startswith("sensitivity"):

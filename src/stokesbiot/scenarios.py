@@ -21,6 +21,7 @@ from .manufactured import PI
 from .mesh import Mesh2D, apply_domain_map, build_fracture_domain, reservoir_domain_map
 from .solver import CoupledSystem, DirichletBC, FluxBC, run_transient
 from .spaces import make_space
+from .vtkio import write_manifest, write_output, write_scenario_snapshots
 
 
 class RasterParseError(ConfigError):
@@ -62,11 +63,9 @@ class RasterField:
 
 
 def write_raster(field: RasterField, path) -> None:
-    with open(path, "w") as f:
-        f.write("raster 1\n")
-        f.write(f"{field.nx} {field.ny} {field.x0!r} {field.y0!r} {field.dx!r} {field.dy!r}\n")
-        for row in field.values:
-            f.write(" ".join(repr(float(v)) for v in row) + "\n")
+    write_output(path, "".join([
+        "raster 1\n", f"{field.nx} {field.ny} {field.x0!r} {field.y0!r} {field.dx!r} {field.dy!r}\n",
+        *(" ".join(repr(float(v)) for v in row) + "\n" for row in field.values)]))
 
 
 def read_raster(path) -> RasterField:
@@ -297,9 +296,13 @@ def cell_mean_pressure(system: CoupledSystem, state) -> np.ndarray:
 
 def scenario_summary(system: CoupledSystem, state) -> dict:
     mesh_p = system.spaces["pp"].mesh
-    centroids = mesh_p.nodes[mesh_p.tris].mean(axis=1)
+    if "near_interface" not in mesh_p._cache:      # cells with a centroid within 0.1
+        centroids = mesh_p.nodes[mesh_p.tris].mean(axis=1)
+        near = interface_distances(mesh_p, centroids) <= 0.1
+        near.flags.writeable = False
+        mesh_p._cache["near_interface"] = near
+    near = mesh_p._cache["near_interface"]
     cell_pp = cell_mean_pressure(system, state)
-    near = interface_distances(mesh_p, centroids) <= 0.1
     up_c = _rt_at_centroids(system.spaces["up"], system.view(state.X, "up"))
     eta = system.view(state.X, "eta")
     eta_nodes = eta.reshape(-1, 2)
@@ -314,10 +317,15 @@ def scenario_summary(system: CoupledSystem, state) -> dict:
 
 
 def _rt_at_centroids(space, coeffs) -> np.ndarray:
-    mesh = space.mesh
-    centroids = mesh.nodes[mesh.tris].mean(axis=1)[:, None, :]
-    vals = space.basis_values(np.arange(mesh.n_tris), centroids)   # (m, n, 1, 2)
-    return np.einsum("mnqd,mn->md", vals, coeffs[space.cell_dofs])
+    """The RT field of ``coeffs`` at the cell centroids (m, 2); the basis
+    values there are tabulated once per space."""
+    if "centroid_values" not in space._cache:
+        mesh = space.mesh
+        centroids = mesh.nodes[mesh.tris].mean(axis=1)[:, None, :]
+        vals = space.basis_values(np.arange(mesh.n_tris), centroids)   # (m, n, 1, 2)
+        vals.flags.writeable = False
+        space._cache["centroid_values"] = vals
+    return np.einsum("mnqd,mn->md", space._cache["centroid_values"], coeffs[space.cell_dofs])
 
 
 def run_scenario(config: ScenarioConfig, outdir: str | None = None,
@@ -341,7 +349,6 @@ def run_scenario(config: ScenarioConfig, outdir: str | None = None,
         summary["max_constraint_residual"] = max(d["constraint_residual"] for d in diagnostics)
         summary["max_energy_residual"] = max(d["energy_residual"] for d in diagnostics)
     if outdir is not None:
-        from .vtkio import write_manifest, write_scenario_snapshots
         os.makedirs(outdir, exist_ok=True)
         write_scenario_snapshots(outdir, config.name.replace(":", "_"), system, states)
         manifest = {"config": config.resolved(), "summary": summary}

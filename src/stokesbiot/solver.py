@@ -906,7 +906,13 @@ class CoupledSystem:
         """The next state; its ``X`` is read-only."""
         t1 = (state.n + 1) * self.tau
         rhs = self.load(t1) + (self.E @ state.X) / self.tau
-        X = self.op.solve(rhs, self.constraints.values(t1))
+        try:
+            X = self.op.solve(rhs, self.constraints.values(t1))
+        except SingularMatrixError:
+            if np.all(np.isfinite(rhs)):
+                raise
+            raise ConfigError(f"non-finite right-hand side L + E X / tau of step {state.n + 1}, "
+                              "built from tau, s0 and the previous state") from None
         X.flags.writeable = False
         return TransientState(X=X, n=state.n + 1, tau=self.tau)
 

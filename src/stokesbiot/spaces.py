@@ -85,7 +85,8 @@ class FESpace:
     degree: int
     scalar_name: str | None = None     # underlying scalar family for CG
     rt_order: int | None = None
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)   # "rt": see _rt_data
+    # "rt": see _rt_data; "centroid_values": see scenarios._rt_at_centroids
+    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def geometry(self) -> CellGeometry:

@@ -7,6 +7,7 @@ identical inputs.
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 
@@ -16,55 +17,63 @@ CSV_HEADER = ("h,e_uf_H1,rate,e_pf_L2,rate,e_up_L2,rate,"
               "e_pp_LinfL2,rate,e_eta_LinfH1,rate")
 
 
+def write_output(path, text: str) -> None:
+    """Write ``text`` to ``path`` over the file's old bytes, then cut it to
+    the new length: rewriting an existing file in place costs a fraction of
+    truncating it first, which frees its blocks before writing them again."""
+    data = memoryview(text.encode())
+    size = len(data)
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+        os.ftruncate(fd, size)
+    finally:
+        os.close(fd)
+
+
+_VECTOR_ROW = {2: "%.16e %.16e 0.0000000000000000e+00\n", 3: "%.16e %.16e %.16e\n"}
+
+
+def _vtk_geometry(mesh: Mesh2D) -> str:
+    """Header, POINTS, CELLS and CELL_TYPES text of ``mesh``, formatted once
+    per mesh (meshes are immutable)."""
+    if "vtk_geometry" not in mesh._cache:
+        n, m = mesh.n_nodes, mesh.n_tris
+        mesh._cache["vtk_geometry"] = "".join([
+            "# vtk DataFile Version 3.0\nstokesbiot fields\nASCII\nDATASET UNSTRUCTURED_GRID\n",
+            f"POINTS {n} double\n", _VECTOR_ROW[2] * n % tuple(mesh.nodes.ravel().tolist()),
+            f"CELLS {m} {4 * m}\n", "3 %d %d %d\n" * m % tuple(mesh.tris.ravel().tolist()),
+            f"CELL_TYPES {m}\n", "5\n" * m])
+    return mesh._cache["vtk_geometry"]
+
+
 def write_vtk(path, mesh: Mesh2D, point_data: dict | None = None,
               cell_data: dict | None = None) -> None:
-    """Legacy ASCII VTK unstructured grid of triangles (cell type 5)."""
-    point_data = point_data or {}
-    cell_data = cell_data or {}
-    for name, arr in point_data.items():
-        if len(arr) != mesh.n_nodes:
-            raise ValueError(f"point data {name!r} has length {len(arr)}, mesh has {mesh.n_nodes} nodes")
-    for name, arr in cell_data.items():
-        if len(arr) != mesh.n_tris:
-            raise ValueError(f"cell data {name!r} has length {len(arr)}, mesh has {mesh.n_tris} cells")
+    """Legacy ASCII VTK unstructured grid of triangles (cell type 5).
 
-    def fmt(x):
-        return f"{x:.16e}"
-
-    with open(path, "w") as f:
-        f.write("# vtk DataFile Version 3.0\n")
-        f.write("stokesbiot fields\n")
-        f.write("ASCII\n")
-        f.write("DATASET UNSTRUCTURED_GRID\n")
-        f.write(f"POINTS {mesh.n_nodes} double\n")
-        for x, y in mesh.nodes:
-            f.write(f"{fmt(x)} {fmt(y)} {fmt(0.0)}\n")
-        f.write(f"CELLS {mesh.n_tris} {4 * mesh.n_tris}\n")
-        for i, j, k in mesh.tris:
-            f.write(f"3 {i} {j} {k}\n")
-        f.write(f"CELL_TYPES {mesh.n_tris}\n")
-        for _ in range(mesh.n_tris):
-            f.write("5\n")
-
-        def write_section(tag, n, data):
-            if not data:
-                return
-            f.write(f"{tag} {n}\n")
-            for name, arr in data.items():
-                arr = np.asarray(arr, dtype=float)
-                if arr.ndim == 1:
-                    f.write(f"SCALARS {name} double 1\n")
-                    f.write("LOOKUP_TABLE default\n")
-                    for v in arr:
-                        f.write(fmt(v) + "\n")
-                else:
-                    f.write(f"VECTORS {name} double\n")
-                    for row in arr:
-                        z = row[2] if len(row) > 2 else 0.0
-                        f.write(f"{fmt(row[0])} {fmt(row[1])} {fmt(z)}\n")
-
-        write_section("POINT_DATA", mesh.n_nodes, point_data)
-        write_section("CELL_DATA", mesh.n_tris, cell_data)
+    Each array is a scalar field (n,) or a vector field (n, 2) or (n, 3),
+    written with z = 0 for two columns; every number as ``f"{x:.16e}"``.
+    """
+    parts = [_vtk_geometry(mesh)]
+    for tag, n, what, data in (("POINT_DATA", mesh.n_nodes, "nodes", point_data),
+                               ("CELL_DATA", mesh.n_tris, "cells", cell_data)):
+        if not data:
+            continue
+        parts.append(f"{tag} {n}\n")
+        for name, arr in data.items():
+            if len(arr) != n:
+                raise ValueError(f"{tag} {name!r} has length {len(arr)}, mesh has {n} {what}")
+            arr = np.asarray(arr, dtype=float)
+            if arr.ndim == 1:
+                head, row = f"SCALARS {name} double 1\nLOOKUP_TABLE default\n", "%.16e\n"
+            elif arr.ndim == 2 and arr.shape[1] in _VECTOR_ROW:
+                head, row = f"VECTORS {name} double\n", _VECTOR_ROW[arr.shape[1]]
+            else:
+                raise ValueError(f"{tag} {name!r} has shape {arr.shape}, "
+                                 "expected (n,), (n, 2) or (n, 3)")
+            parts += [head, row * n % tuple(arr.ravel().tolist())]
+    write_output(path, "".join(parts))
 
 
 def convergence_csv(table) -> str:
@@ -83,9 +92,7 @@ def convergence_csv(table) -> str:
 
 
 def write_manifest(path, payload: dict) -> None:
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True, default=_json_default)
-        f.write("\n")
+    write_output(path, json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n")
 
 
 def _json_default(obj):
@@ -121,8 +128,6 @@ def scenario_fields(system, state):
 
 
 def write_scenario_snapshots(outdir, name, system, states) -> None:
-    import os
-
     mesh_f = system.spaces["uf"].mesh
     mesh_p = system.spaces["pp"].mesh
     for state in states:

@@ -53,6 +53,46 @@ def read_vtk_points(path) -> np.ndarray:
     raise ValueError("no POINTS section found")
 
 
+def write_vtk_per_value(path, mesh: Mesh2D, point_data: dict | None = None,
+                        cell_data: dict | None = None) -> None:
+    """``vtkio.write_vtk`` one value at a time: the reference its bulk
+    formatting must match byte for byte."""
+    def fmt(x):
+        return f"{x:.16e}"
+
+    with open(path, "w") as f:
+        f.write("# vtk DataFile Version 3.0\n")
+        f.write("stokesbiot fields\n")
+        f.write("ASCII\n")
+        f.write("DATASET UNSTRUCTURED_GRID\n")
+        f.write(f"POINTS {mesh.n_nodes} double\n")
+        for x, y in mesh.nodes:
+            f.write(f"{fmt(x)} {fmt(y)} {fmt(0.0)}\n")
+        f.write(f"CELLS {mesh.n_tris} {4 * mesh.n_tris}\n")
+        for i, j, k in mesh.tris:
+            f.write(f"3 {i} {j} {k}\n")
+        f.write(f"CELL_TYPES {mesh.n_tris}\n")
+        for _ in range(mesh.n_tris):
+            f.write("5\n")
+        for tag, n, data in (("POINT_DATA", mesh.n_nodes, point_data),
+                             ("CELL_DATA", mesh.n_tris, cell_data)):
+            if not data:
+                continue
+            f.write(f"{tag} {n}\n")
+            for name, arr in data.items():
+                arr = np.asarray(arr, dtype=float)
+                if arr.ndim == 1:
+                    f.write(f"SCALARS {name} double 1\n")
+                    f.write("LOOKUP_TABLE default\n")
+                    for v in arr:
+                        f.write(fmt(v) + "\n")
+                else:
+                    f.write(f"VECTORS {name} double\n")
+                    for row in arr:
+                        z = row[2] if len(row) > 2 else 0.0
+                        f.write(f"{fmt(row[0])} {fmt(row[1])} {fmt(z)}\n")
+
+
 def read_mesh_file(path) -> Mesh2D:
     """Re-parse a mesh written by ``mesh.write_mesh`` (no error handling)."""
     with open(path) as f:

@@ -15,9 +15,10 @@ from stokesbiot.cli import cli
 from stokesbiot.config import _SCHEMA, ConfigError, parse_config, parse_set_pairs
 from stokesbiot.mesh import Mesh2D, build_structured
 from stokesbiot.verify import NORM_KEYS
-from stokesbiot.vtkio import CSV_HEADER, convergence_csv, write_vtk
+from stokesbiot.scenarios import build_scenario_system, example2_config
+from stokesbiot.vtkio import CSV_HEADER, convergence_csv, scenario_fields, write_manifest, write_vtk
 
-from helpers import read_mesh_file, read_vtk_points
+from helpers import read_mesh_file, read_vtk_points, write_vtk_per_value
 
 TAGS = {"left": "left", "right": "right", "bottom": "bottom", "top": "top"}
 
@@ -71,6 +72,66 @@ def test_vtk_roundtrip_full_precision(tmp_path):
 def test_vtk_length_mismatch(tmp_path):
     with pytest.raises(ValueError):
         write_vtk(tmp_path / "x.vtk", tiny_mesh(), point_data={"p": np.zeros(5)})
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (3, 1), (3, 2, 2)])
+def test_vtk_rejects_a_field_of_another_shape(tmp_path, shape):
+    path = tmp_path / "x.vtk"
+    with pytest.raises(ValueError, match=r"'velocity' has shape"):
+        write_vtk(path, tiny_mesh(), point_data={"p": np.zeros(3), "velocity": np.zeros(shape)})
+    assert not path.exists()
+
+
+def test_vtk_matches_the_per_value_writer(tmp_path):
+    special = [-0.0, np.inf, -np.inf, np.nan, 5e-324, 1e300, -1e-300, 0.1]
+    mesh = Mesh2D(nodes=np.array([[-0.0, 0.0], [1e300, 5e-324], [0.1, 1.0], [1.0, 1.0]]),
+                  tris=np.array([[0, 1, 2], [1, 3, 2]]),
+                  tri_tags=np.array(["fluid", "fluid"]),
+                  bedges=np.array([[0, 1], [1, 3], [3, 2], [2, 0]]),
+                  bedge_tags=np.array(["a", "b", "c", "d"]))
+    point = {"s": special[:4], "v2": np.reshape(special, (4, 2)),
+             "v3": np.reshape(special[:3] * 4, (4, 3)), "n": np.arange(4)}
+    cell = {"k": special[4:6], "w": np.reshape(special[2:8], (2, 3))}
+    for point_data, cell_data in ((point, cell), (point, None), (None, cell), (None, None)):
+        write_vtk(tmp_path / "bulk.vtk", mesh, point_data=point_data, cell_data=cell_data)
+        write_vtk_per_value(tmp_path / "ref.vtk", mesh, point_data=point_data, cell_data=cell_data)
+        assert (tmp_path / "bulk.vtk").read_bytes() == (tmp_path / "ref.vtk").read_bytes()
+
+
+def test_example2_snapshots_match_the_per_value_writer(tmp_path):
+    system = build_scenario_system(example2_config(resolution=0.7))
+    state0 = system.initial_state(pp0=lambda p: np.full(len(p), 1000.0),
+                                  eta0=lambda p: np.zeros((len(p), 2)))
+    for state in (state0, system.step(state0)):
+        for fields, mesh in zip(scenario_fields(system, state),
+                                (system.spaces["uf"].mesh, system.spaces["pp"].mesh)):
+            write_vtk(tmp_path / "bulk.vtk", mesh, fields["point"], fields["cell"])
+            write_vtk_per_value(tmp_path / "ref.vtk", mesh, fields["point"], fields["cell"])
+            assert (tmp_path / "bulk.vtk").read_bytes() == (tmp_path / "ref.vtk").read_bytes()
+
+
+def test_vtk_formats_the_geometry_once_per_mesh(tmp_path):
+    mesh, path = tiny_mesh(), tmp_path / "x.vtk"
+    data = {"p": np.array([0.1, 0.2, 0.3])}
+    write_vtk(path, mesh, point_data=data)
+    first = path.read_text()
+    geometry = mesh._cache["vtk_geometry"]
+    assert first.startswith(geometry) and geometry.endswith("CELL_TYPES 1\n5\n")
+    mesh._cache["vtk_geometry"] = "cached\n"
+    write_vtk(path, mesh, point_data=data)
+    assert path.read_text() == "cached\n" + first[len(geometry):]
+
+
+def test_outputs_are_rewritten_to_exactly_the_new_bytes(tmp_path):
+    mesh = tiny_mesh()
+    writers = {"x.vtk": lambda path: write_vtk(path, mesh, point_data={"p": np.zeros(3)}),
+               "x.json": lambda path: write_manifest(path, {"a": [1.5, None]})}
+    for name, write in writers.items():
+        write(tmp_path / f"fresh_{name}")
+        new = (tmp_path / f"fresh_{name}").read_bytes()
+        (tmp_path / name).write_bytes(b"old " * len(new))
+        write(tmp_path / name)
+        assert (tmp_path / name).read_bytes() == new, name
 
 
 def test_vtk_deterministic(tmp_path):
@@ -278,6 +339,20 @@ def test_cli_non_finite_step_operator_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_overflowing_step_right_hand_side_is_usage_error(tmp_path, capsys):
+    # E / tau is finite, but s0 E X / tau overflows in the first step's
+    # right-hand side: named with its parameters, before anything is written
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli(["run", "--scenario", "example2", "--resolution", "0.7", "--set", "s0=1e308",
+                  "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "E X / tau" in err and "tau, s0" in err and "Warning" not in err
+    assert not out.exists()
+
+
 def test_cli_output_dir_is_unknown_key(tmp_path, capsys, monkeypatch):
     import stokesbiot.scenarios
 
@@ -326,7 +401,12 @@ def test_set_pairs_reject_a_key_given_twice():
     (["--set", "t=1.5"], None, "--set t=1.5"),
     (["--set", "tau=0.7"], None, "--set tau=0.7"),
     (["--final-time", "2", "--set", "tau=0.3"], None, "--final-time 2 and --set tau=0.3"),
-    ([], "[time]\nt = 1.5\n", "[time] t / tau"),
+    # a config file's key is named with the file, unless the command line overrides it
+    pytest.param([], "[time]\nt = 1.5\n", "{cfg}: [time] t = 1.5", id="config-file-t"),
+    pytest.param(["--final-time", "2"], "[time]\ntau = 0.7\n", "--final-time 2 and {cfg}: [time] tau = 0.7",
+                 id="config-file-tau-and-flag"),
+    pytest.param(["--set", "t=2.5"], "[time]\nt = 1.5\ntau = 2\n", "--set t=2.5 and {cfg}: [time] tau = 2.0",
+                 id="config-file-t-overridden"),
 ])
 def test_cli_step_count_error_names_its_source(tmp_path, capsys, argv, config, source):
     out = tmp_path / "out"
@@ -337,7 +417,7 @@ def test_cli_step_count_error_names_its_source(tmp_path, capsys, argv, config, s
     rc = cli(["run", "--scenario", "example2", "--resolution", "0.2", *argv, "--out", str(out)])
     err = capsys.readouterr().err
     assert rc == 1
-    assert err.startswith(source + ": final time ")
+    assert err.startswith(source.format(cfg=cfg) + ": final time ")
     assert not out.exists()
 
 
@@ -447,6 +527,26 @@ def test_cli_converge_manifest_writes_nonfinite_rates_as_null(tmp_path, monkeypa
     text = (tmp_path / "convergence_low_matching_manifest.json").read_text()
     manifest = json.loads(text, parse_constant=lambda name: pytest.fail(f"non-JSON {name}"))
     assert manifest["rates"] == {k: [None] for k in NORM_KEYS}
+
+
+def test_cli_converge_rewrites_its_outputs_in_place(tmp_path, monkeypatch, capsys):
+    import stokesbiot.verify
+    from stokesbiot.verify import ConvergenceTable, ErrorReport
+
+    def table(elements, levels, **kwargs):
+        rows = [ErrorReport(h=2.0 ** -k, dof_counts={"uf": 4 ** k}, abs_errors=dict.fromkeys(NORM_KEYS, 4.0 ** -k),
+                            rel_errors=dict.fromkeys(NORM_KEYS, 2.0 ** -k)) for k in range(2, 2 + levels)]
+        return ConvergenceTable(elements=elements, matching=True, rows=rows)
+
+    monkeypatch.setattr(stokesbiot.verify, "convergence_study", table)
+    argv = ["converge", "--elements", "low", "--out", str(tmp_path)]
+    paths = [tmp_path / "convergence_low_matching.csv", tmp_path / "convergence_low_matching_manifest.json"]
+    assert cli(argv + ["--levels", "2"]) == 0
+    short = [p.read_bytes() for p in paths]
+    assert cli(argv + ["--levels", "4"]) == 0
+    assert all(len(p.read_bytes()) > len(b) for p, b in zip(paths, short))
+    assert cli(argv + ["--levels", "2"]) == 0
+    assert [p.read_bytes() for p in paths] == short
 
 
 def test_cli_run_scenario_with_overrides(tmp_path):
