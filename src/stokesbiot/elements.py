@@ -22,7 +22,6 @@ class ScalarElement:
     dofs_per_vertex: int
     dofs_per_edge: int
     dofs_per_cell: int
-    continuous: bool
     nodes: np.ndarray | None       # reference coords of nodal dofs, or None
     _tabulate: Callable
 
@@ -87,11 +86,11 @@ def _tab_p1bubble(points):
 _VERTS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 _MIDPOINTS = np.array([[0.5, 0.5], [0.0, 0.5], [0.5, 0.0]])  # midpoint of edge i
 
-P0 = ScalarElement("P0", 0, 0, 0, 1, False, np.array([[1 / 3, 1 / 3]]), _tab_p0)
-P1 = ScalarElement("P1", 1, 1, 0, 0, True, _VERTS, _tab_p1)
-P1DC = ScalarElement("P1dc", 1, 0, 0, 3, False, _VERTS, _tab_p1)
-P2 = ScalarElement("P2", 2, 1, 1, 0, True, np.vstack([_VERTS, _MIDPOINTS]), _tab_p2)
-P1BUBBLE = ScalarElement("P1bubble", 3, 1, 0, 1, True, None, _tab_p1bubble)
+P0 = ScalarElement("P0", 0, 0, 0, 1, np.array([[1 / 3, 1 / 3]]), _tab_p0)
+P1 = ScalarElement("P1", 1, 1, 0, 0, _VERTS, _tab_p1)
+P1DC = ScalarElement("P1dc", 1, 0, 0, 3, _VERTS, _tab_p1)
+P2 = ScalarElement("P2", 2, 1, 1, 0, np.vstack([_VERTS, _MIDPOINTS]), _tab_p2)
+P1BUBBLE = ScalarElement("P1bubble", 3, 1, 0, 1, None, _tab_p1bubble)
 
 SCALAR_ELEMENTS = {e.name: e for e in (P0, P1, P1DC, P2, P1BUBBLE)}
 

@@ -39,7 +39,7 @@ as example2's, in SuperLU's COLAMD order with partial pivoting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -471,8 +471,8 @@ def _inv_sqrt_max(m: np.ndarray, kind: str) -> np.ndarray:
 class DirichletBC:
     """Prescribe a vector Lagrangian field on tagged boundary edges.
 
-    ``value(points, t) -> (k, 2)``; with ``normal_only`` the normal component
-    alone is constrained (to zero) and the tangential part is left free.
+    ``value(points, t) -> (k, 2)``; with ``normal_only``, and no ``value``, the
+    normal component alone is constrained to zero and the tangential part is free.
     """
 
     field: str
@@ -491,22 +491,19 @@ class FluxBC:
 
 @dataclass
 class Constraints:
-    rotations: list          # (dof_x, dof_y, nx, ny) in global numbering
+    pairs: np.ndarray        # (r, 2) rotated (dof_x, dof_y) node pairs, global numbering
+    normals: np.ndarray      # (r, 2) unit normal of each pair; slot dof_x holds v . n
     fixed: np.ndarray        # constrained dof ids, rotated frame, sorted
-    _value_parts: list       # (ids_into_fixed, fn, points, comps) or zeros
+    _value_parts: list       # (ids (k, 2) into fixed, -1 where dropped, fn, points (k, 2))
 
     def rotation(self, n: int):
-        if not self.rotations:
+        if not len(self.pairs):
             return None
-        dx, dy = np.array([r[:2] for r in self.rotations], dtype=np.int64).T
-        nx, ny = np.array([r[2:] for r in self.rotations], dtype=float).T
-        rest = np.ones(n, dtype=bool)
-        rest[dx] = rest[dy] = False
-        rest = np.nonzero(rest)[0]
+        (dx, dy), (nx, ny) = self.pairs.T, self.normals.T
+        rest = np.setdiff1d(np.arange(n), self.pairs)
         rows = np.concatenate([rest, dx, dx, dy, dy])
         cols = np.concatenate([rest, dx, dy, dx, dy])
-        vals = np.concatenate([np.ones(len(rest)), nx, ny, -ny, nx])
-        R = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        R = sp.csr_matrix((np.concatenate([np.ones(len(rest)), nx, ny, -ny, nx]), (rows, cols)), shape=(n, n))
         R.eliminate_zeros()     # a zero normal component is no entry
         return R
 
@@ -518,9 +515,8 @@ class Constraints:
 
     def values(self, t: float) -> np.ndarray:
         g = np.zeros(len(self.fixed))
-        for ids, fn, points, comps in self._value_parts:
-            vals = np.asarray(fn(points, t))
-            g[ids] = vals[np.arange(len(points)), comps]
+        for ids, fn, points in self._value_parts:
+            g[ids[ids >= 0]] = np.asarray(fn(points, t))[ids >= 0]
         return g
 
     def restrict(self, dofs: np.ndarray) -> Constraints:
@@ -529,17 +525,13 @@ class Constraints:
         A rotated pair must lie wholly inside or wholly outside ``dofs``.
         """
         at = _positions(dofs, self.fixed)
-        keep = at >= 0
-        renumber = np.cumsum(keep) - 1          # new place of each kept fixed dof
-        pairs = _positions(dofs, np.array([r[:2] for r in self.rotations], dtype=np.int64).reshape(-1, 2))
+        renumber = np.append(np.where(at >= 0, np.cumsum(at >= 0) - 1, -1), -1)   # dropped: -1, also at [-1]
+        pairs = _positions(dofs, self.pairs)
         split = (pairs[:, 0] < 0) != (pairs[:, 1] < 0)
         if split.any():
-            raise ValueError(f"rotated pair {self.rotations[int(np.argmax(split))][:2]} is split")
-        rotations = [(int(px), int(py), nx, ny)
-                     for (px, py), (_, _, nx, ny) in zip(pairs, self.rotations) if px >= 0]
-        parts = [(renumber[ids[k]], fn, points[k], comps[k])
-                 for ids, fn, points, comps in self._value_parts if (k := keep[ids]).any()]
-        return Constraints(rotations=rotations, fixed=at[keep], _value_parts=parts)
+            raise ValueError(f"rotated pair {self.pairs[np.argmax(split)].tolist()} is split")
+        parts = [(r, fn, points) for ids, fn, points in self._value_parts if ((r := renumber[ids]) >= 0).any()]
+        return Constraints(pairs[pairs[:, 0] >= 0], self.normals[pairs[:, 0] >= 0], at[at >= 0], parts)
 
 
 def _positions(dofs: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -551,27 +543,17 @@ def _positions(dofs: np.ndarray, ids: np.ndarray) -> np.ndarray:
 
 
 def _boundary_nodes(space: FESpace, tags):
-    """Node entities (plus per-node averaged outward normals) on tagged edges."""
+    """One row per (node, tagged edge): the node's dof pair, its point and the
+    edge's outward normal, for both ends of each edge, then each P2 midpoint."""
     mesh = space.mesh
     ids = mesh.boundary_edge_ids(tags)
-    normals = mesh.bedge_normals()[ids]
-    points, entity_dofs, nlist = [], [], []
-    acc: dict[int, list] = {}
-    for be, n in zip(ids, normals):
-        for v in mesh.bedges[be]:
-            acc.setdefault(int(v), []).append(n)
-    for v, ns in sorted(acc.items()):
-        points.append(space.mesh.nodes[v])
-        entity_dofs.append(space.vertex_dofs([v])[0])
-        nlist.append(ns)
+    ends, normals = mesh.bedges[ids].ravel(), mesh.bedge_normals()[ids]
+    dofs, points, edge_normals = [space.vertex_dofs(ends)], [mesh.nodes[ends]], [np.repeat(normals, 2, axis=0)]
     if space.scalar_name == "P2":
-        eids = mesh.bedge_edge_ids()[ids]
-        mids = 0.5 * (mesh.nodes[mesh.bedges[ids, 0]] + mesh.nodes[mesh.bedges[ids, 1]])
-        for e, mid, n in zip(eids, mids, normals):
-            points.append(mid)
-            entity_dofs.append(space.edge_dofs([e])[0])
-            nlist.append([n])
-    return np.array(points), np.array(entity_dofs), nlist
+        dofs.append(space.edge_dofs(mesh.bedge_edge_ids()[ids]))
+        points.append(0.5 * (points[0][0::2] + points[0][1::2]))
+        edge_normals.append(normals)
+    return np.concatenate(dofs), np.concatenate(points), np.concatenate(edge_normals)
 
 
 def build_constraints(spaces: dict, offsets: dict, bcs: list) -> Constraints:
@@ -579,67 +561,59 @@ def build_constraints(spaces: dict, offsets: dict, bcs: list) -> Constraints:
 
     ``ValueError`` for a condition that cannot take effect: one on a field
     without a space at an offset, a ``FluxBC`` on a field that is not
-    Raviart-Thomas, or a ``DirichletBC`` on one that is not vector Lagrange.
+    Raviart-Thomas, a ``DirichletBC`` on one that is not vector Lagrange, a
+    tag that matches no boundary edge, or a full ``DirichletBC`` without a
+    value or a normal-only one with one.  Where conditions share a node, a
+    full one wins over normal-only ones and the last full one gives the
+    value; normal-only ones alone pin both components where the edge normals
+    differ by more than 1e-8 (a corner), else rotate the pair to their mean.
     """
-    full: dict[int, tuple] = {}       # dof_x -> (dof_y, point, fn)
-    normal: dict[int, tuple] = {}     # dof_x -> (dof_y, normals list)
-    flux_fixed: list[int] = []
-
-    for bc in bcs:
+    fixed = []
+    rows = [(np.empty((0, 2), dtype=np.int64), np.empty((0, 2)), np.empty((0, 2)),
+             np.empty(0, dtype=np.int64))]      # (dof pairs, points, normals, condition)
+    for k, bc in enumerate(bcs):
+        name = f"{type(bc).__name__} on field {bc.field!r}"
         if bc.field not in offsets or bc.field not in spaces:
-            raise ValueError(f"{type(bc).__name__} on field {bc.field!r}, which has no space in the layout")
-        off = offsets[bc.field]
-        space = spaces[bc.field]
-        flux = isinstance(bc, FluxBC)
+            raise ValueError(f"{name}, which has no space in the layout")
+        off, space, flux = offsets[bc.field], spaces[bc.field], isinstance(bc, FluxBC)
         if (space.rt_order is not None) != flux or not space.vector:
             needs = "Raviart-Thomas" if flux else "vector Lagrange"
-            raise ValueError(f"{type(bc).__name__} on field {bc.field!r} of family "
-                             f"{space.family}: needs a {needs} field")
+            raise ValueError(f"{name} of family {space.family}: needs a {needs} field")
+        unmatched = np.setdiff1d(bc.tags, space.mesh.bedge_tags)
+        if len(unmatched):
+            raise ValueError(f"{name}: tag {str(unmatched[0])!r} matches no boundary edge of its mesh")
         if flux:
             eids = space.mesh.bedge_edge_ids()[space.mesh.boundary_edge_ids(bc.tags)]
-            flux_fixed.extend((off + space.edge_dofs(eids)).ravel().tolist())
-            continue
-        points, dofs, nlist = _boundary_nodes(space, bc.tags)
-        for p, d, ns in zip(points, dofs, nlist):
-            dx, dy = off + int(d[0]), off + int(d[1])
-            if bc.normal_only:
-                if dx not in full:
-                    prev = normal.get(dx, (dy, []))[1]
-                    normal[dx] = (dy, prev + list(ns))
-            else:
-                full[dx] = (dy, p, bc.value)
-                normal.pop(dx, None)
-
-    rotations = []
-    fixed: list[int] = list(flux_fixed)
-    parts_points: dict = {}
-    for dx, (dy, p, fn) in sorted(full.items()):
-        fixed.extend([dx, dy])
-        parts_points.setdefault(id(fn), (fn, [], []))
-        _, pts, dofs = parts_points[id(fn)]
-        pts.append(p)
-        dofs.append((dx, 0))
-        pts.append(p)
-        dofs.append((dy, 1))
-    for dx, (dy, ns) in sorted(normal.items()):
-        base = ns[0] / np.linalg.norm(ns[0])
-        distinct = any(abs(base[0] * n[1] - base[1] * n[0]) > 1e-8 * np.linalg.norm(n) for n in ns[1:])
-        if distinct:
-            fixed.extend([dx, dy])    # corner: both components pinned to zero
+            fixed.append(off + space.edge_dofs(eids).ravel())
+        elif bc.normal_only == (bc.value is not None):
+            raise ValueError(f"{name}: " + ("a normal-only condition takes no value" if bc.normal_only
+                                            else "a full condition needs a value"))
         else:
-            avg = np.mean(ns, axis=0)
-            avg /= np.linalg.norm(avg)
-            rotations.append((dx, dy, float(avg[0]), float(avg[1])))
-            fixed.append(dx)          # rotated slot dx now holds v . n
+            dofs, points, normals = _boundary_nodes(space, bc.tags)
+            rows.append((off + dofs, points, normals, np.full(len(dofs), k)))
 
-    fixed = np.array(sorted(set(fixed)), dtype=np.int64)
-    pos = {int(d): i for i, d in enumerate(fixed)}
-    value_parts = []
-    for fn, pts, dofcomps in parts_points.values():
-        ids = np.array([pos[d] for d, _ in dofcomps], dtype=np.int64)
-        comps = np.array([c for _, c in dofcomps], dtype=np.int64)
-        value_parts.append((ids, fn, np.array(pts), comps))
-    return Constraints(rotations=rotations, fixed=fixed, _value_parts=value_parts)
+    # group the rows by node (x dof), each node's rows in the order of the conditions
+    cols = [np.concatenate(a) for a in zip(*rows)]
+    order = np.argsort(cols[0][:, 0], kind="stable")
+    dofs, points, normals, which = (c[order] for c in cols)
+    start = np.diff(dofs[:, 0], prepend=-1) != 0
+    first, group, node = np.flatnonzero(start), np.cumsum(start) - 1, dofs[start]
+    full_bc = np.array([isinstance(bc, DirichletBC) and not bc.normal_only for bc in bcs], dtype=bool)
+    last_full = np.maximum.reduceat(np.where(full_bc[which], np.arange(len(dofs)), -1), first)
+    full = last_full >= 0
+    base = normals[first] / np.linalg.norm(normals[first], axis=1)[:, None]
+    cross = base[group, 0] * normals[:, 1] - base[group, 1] * normals[:, 0]
+    corner = ~full & np.logical_or.reduceat(np.abs(cross) > 1e-8 * np.linalg.norm(normals, axis=1), first)
+    rotated = ~full & ~corner
+    mean = np.zeros((len(first), 2))
+    np.add.at(mean, group, normals)          # row by row from zero, as np.mean sums one node's normals
+    mean = mean[rotated] / np.bincount(group)[rotated, None]
+    mean /= np.sqrt(mean[:, None, :] @ mean[:, :, None])[:, 0]   # as np.linalg.norm of one vector: a dot
+    fixed = np.unique(np.concatenate(fixed + [node[full | corner].ravel(), node[rotated, 0]]))
+    src = last_full[full]            # the row that gives each full node its value
+    ids, src_bc = np.searchsorted(fixed, node[full]), which[src]
+    parts = [(ids[src_bc == k], bcs[k].value, points[src[src_bc == k]]) for k in np.unique(src_bc)]
+    return Constraints(node[rotated], mean, fixed, parts)
 
 
 class ConstrainedOperator:
@@ -715,9 +689,6 @@ class TransientState:
     X: np.ndarray
     n: int
     tau: float
-    # (system, values) that ``verify`` carries to the next step; read only
-    # while ``X`` is read-only, as on the states ``CoupledSystem.step`` returns
-    carried: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def t(self) -> float:

@@ -8,6 +8,7 @@ import numpy as np
 from stokesbiot.elements import SCALAR_ELEMENTS, _bary
 from stokesbiot.mesh import Mesh2D
 from stokesbiot.quadrature import edge_rule, triangle_rule
+from stokesbiot.solver import FluxBC
 from stokesbiot.verify import _darcy_extension
 
 
@@ -124,3 +125,53 @@ def multiplier_seminorm(mu_coeffs: np.ndarray, system) -> float:
     """|mu|_Lambda via the discrete Darcy extension with Dirichlet data mu."""
     ustar = _darcy_extension(system, mu_coeffs)
     return math.sqrt(max(0.0, ustar @ (system.blocks["Ap"] @ ustar)))
+
+
+def constraints_node_by_node(spaces: dict, offsets: dict, bcs: list):
+    """The essential conditions of ``bcs`` built one tagged edge and one node
+    at a time, as a reference for ``solver.build_constraints``.
+
+    Returns ``(fixed, pairs, normals, values)`` with ``values(t)`` the data
+    on ``fixed``, each full node's value taken at that node alone.
+    """
+    full, normal, fixed = {}, {}, set()      # dof_x -> (dof_y, point, fn) / (dof_y, normals)
+    for bc in bcs:
+        space, off = spaces[bc.field], offsets[bc.field]
+        mesh = space.mesh
+        for be in mesh.boundary_edge_ids(bc.tags):
+            e = mesh.bedge_edge_ids()[be]
+            if isinstance(bc, FluxBC):
+                fixed.update((off + space.edge_dofs([e])).ravel().tolist())
+                continue
+            a, b = mesh.bedges[be]
+            nodes = [(space.vertex_dofs([v])[0], mesh.nodes[v]) for v in (a, b)]
+            if space.scalar_name == "P2":
+                nodes.append((space.edge_dofs([e])[0], 0.5 * (mesh.nodes[a] + mesh.nodes[b])))
+            for (dx, dy), p in nodes:
+                dx, dy = off + int(dx), off + int(dy)
+                if not bc.normal_only:
+                    full[dx] = (dy, p, bc.value)
+                    normal.pop(dx, None)
+                elif dx not in full:
+                    normal.setdefault(dx, (dy, []))[1].append(mesh.bedge_normals()[be])
+    pairs, normals = [], []
+    for dx, (dy, ns) in sorted(normal.items()):
+        base = ns[0] / np.linalg.norm(ns[0])
+        if any(abs(base[0] * n[1] - base[1] * n[0]) > 1e-8 * np.linalg.norm(n) for n in ns[1:]):
+            fixed.update((dx, dy))
+        else:
+            mean = np.mean(ns, axis=0)
+            pairs.append((dx, dy))
+            normals.append(mean / np.linalg.norm(mean))
+            fixed.add(dx)
+    fixed.update(d for dx, (dy, _, _) in full.items() for d in (dx, dy))
+    fixed = np.array(sorted(fixed), dtype=np.int64)
+
+    def values(t):
+        g = np.zeros(len(fixed))
+        for dx, (dy, p, fn) in full.items():
+            g[np.searchsorted(fixed, [dx, dy])] = np.asarray(fn(p[None, :], t))[0]
+        return g
+
+    return (fixed, np.array(pairs, dtype=np.int64).reshape(-1, 2),
+            np.array(normals, dtype=float).reshape(-1, 2), values)

@@ -14,6 +14,9 @@ regression (error above the reference band, or rate below it); the measured
 values are printed either way.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 import sympy as sym
@@ -32,6 +35,15 @@ REFERENCE_ERRORS_LOW = {
     "eta_linfH1": [5.09e-2, 1.34e-2, 3.94e-3, 1.43e-3],
 }
 MAGNITUDE_FACTOR = 3.0
+
+# The numbers the shared runs produce, pinned in golden.json: each study's
+# relative errors and dof counts per level, and the scenario summaries but
+# their constraint and energy residuals, which are round-off and have gates
+# of their own (criteria 4 and 5).  A change that moves one beyond
+# GOLDEN_RTOL on purpose rewrites the file from ``golden_entries`` and says
+# which values moved and why.
+GOLDEN_PATH = Path(__file__).with_name("golden.json")
+GOLDEN_RTOL = 1e-9
 
 
 def report(criterion: int, name: str, ok: bool, detail: str = "") -> None:
@@ -355,3 +367,49 @@ def test_criterion_10_scenarios(example2_summary, sensitivity_cd):
     report(10, "reservoir scenarios", ok_p and ok_r,
            f"near-fracture mean p_p(T=300) = {p_near:.0f} KPa in [1800, 3000]; "
            f"case C/D displacement ratio = {ratio:.2e} in [1e6, 1e8]")
+
+
+# ---------------------------------------------------------------------------
+# golden numbers
+
+
+def golden_values(low_matching, low_nonmatching, high_matching, example2_summary, sensitivity_cd) -> dict:
+    """``{name: value}`` of every number pinned in golden.json."""
+    out = {}
+    for study, table in (("low_matching", low_matching), ("low_nonmatching", low_nonmatching),
+                         ("high_matching", high_matching)):
+        for row in table.rows:
+            level = f"{study}/h=1/{round(1.0 / row.h)}"
+            out.update({f"{level}/{k}": row.rel_errors[k] for k in NORM_KEYS})
+            out.update({f"{level}/dofs_{name}": n for name, n in row.dof_counts.items()})
+    for case, summary in (("example2", example2_summary), ("sensitivity_C", sensitivity_cd["C"]),
+                          ("sensitivity_D", sensitivity_cd["D"])):
+        out.update({f"{case}/{k}": v for k, v in summary.items() if not k.endswith("_residual")})
+    return out
+
+
+def golden_entries(values: dict) -> dict:
+    """golden.json's content for ``values``: each as a decimal and as ``float.hex``."""
+    return {k: {"decimal": repr(float(v)), "hex": float(v).hex()} for k, v in values.items()}
+
+
+def golden_report(values: dict, golden: dict) -> list:
+    """One line per pinned value: bit-identical, or its relative difference."""
+    lines = []
+    for k, v in values.items():
+        want = float.fromhex(golden[k]["hex"])
+        same = float(v).hex() == golden[k]["hex"]
+        lines.append(f"{k}: " + ("bit-identical" if same
+                                 else f"relative difference {abs(v - want) / abs(want):.2e}"))
+    return lines
+
+
+def test_golden_numbers(low_matching, low_nonmatching, high_matching, example2_summary, sensitivity_cd):
+    values = golden_values(low_matching, low_nonmatching, high_matching, example2_summary, sensitivity_cd)
+    golden = json.loads(GOLDEN_PATH.read_text())
+    assert values.keys() == golden.keys()
+    report = golden_report(values, golden)
+    print("\n" + "\n".join(report))
+    want = {k: float.fromhex(entry["hex"]) for k, entry in golden.items()}
+    moved = [line for k, line in zip(values, report) if not abs(values[k] - want[k]) <= GOLDEN_RTOL * abs(want[k])]
+    assert not moved, f"golden numbers moved beyond {GOLDEN_RTOL:g}: " + "; ".join(moved)

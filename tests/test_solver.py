@@ -11,12 +11,14 @@ import scipy.sparse as sp
 from stokesbiot.assembly import Separable
 from stokesbiot.config import ConfigError
 from stokesbiot.manufactured import example1_solution, verification_params
+from stokesbiot.mesh import Mesh2D, build_structured
 from stokesbiot.solver import (FIELDS, REFINE_TOL, ConstrainedOperator, DirichletBC, FluxBC,
                                LUSolver, SingularMatrixError, TransientState, _bmat_fields,
                                _CellBlocks, _scaled_svd, build_constraints, run_transient)
+from stokesbiot.spaces import make_space
 from stokesbiot.verify import HIGH_ORDER, LOW_ORDER, example1_system, run_example1
 
-from helpers import rt_interpolate
+from helpers import constraints_node_by_node, rt_interpolate
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +192,7 @@ def slip_problem():
     """Step matrix with slip walls (rotated node pairs) and nonzero data."""
     system = _slip_system()
     cons = system.constraints
-    assert cons.rotations
+    assert len(cons.pairs)
     R = cons.rotation(system.n_dofs)
     rng = np.random.default_rng(3)
     rhs = rng.standard_normal((system.n_dofs, 3))
@@ -254,16 +256,95 @@ def test_constrained_2d_rhs_matches_columns(slip_problem):
 # boundary conditions and block layout
 
 
+def _polynomial(c):
+    """Vector data polynomial in the point and time: its value at a node is
+    the same however many points are evaluated with it."""
+    return lambda p, t: np.column_stack([c + p[:, 0] * t, p[:, 1] - c * t])
+
+
 @pytest.mark.parametrize("bc,elements,message", [
     (DirichletBC("eta_p", ("outer",)), LOW_ORDER, "'eta_p'"),
     (DirichletBC("lam", ("interface",)), LOW_ORDER, "'lam'"),
     (FluxBC("uf", ("wall",)), HIGH_ORDER, "'uf' of family VecP2"),
     (DirichletBC("up", ("outer",)), LOW_ORDER, "'up' of family RT0"),
     (DirichletBC("pf", ("wall",)), LOW_ORDER, "'pf' of family P1"),
-], ids=["unknown-field", "multiplier", "flux-on-VecP2", "dirichlet-on-RT0", "dirichlet-on-P1"])
+    (DirichletBC("uf", ("wal",), value=_polynomial(0.0)), LOW_ORDER,
+     "'uf': tag 'wal' matches no boundary edge"),
+    (FluxBC("up", ("outer", "wall")), HIGH_ORDER, "'up': tag 'wall' matches no boundary edge"),
+    (DirichletBC("eta", ("outer",)), LOW_ORDER, "'eta': a full condition needs a value"),
+    (DirichletBC("uf", ("wall",), value=_polynomial(0.0), normal_only=True), HIGH_ORDER,
+     "'uf': a normal-only condition takes no value"),
+], ids=["unknown-field", "multiplier", "flux-on-VecP2", "dirichlet-on-RT0", "dirichlet-on-P1",
+        "unmatched-tag", "unmatched-flux-tag", "missing-value", "ignored-value"])
 def test_bc_that_cannot_take_effect_is_rejected(bc, elements, message):
     with pytest.raises(ValueError, match=message):
         example1_system(4, elements, data_override={}, bcs_override=[bc])
+
+
+def _matches_node_by_node(spaces, offsets, bcs):
+    """``build_constraints`` of ``bcs``, checked bit for bit against the
+    node-by-node reference."""
+    cons = build_constraints(spaces, offsets, bcs)
+    fixed, pairs, normals, values = constraints_node_by_node(spaces, offsets, bcs)
+    assert np.array_equal(cons.fixed, fixed)
+    assert np.array_equal(cons.pairs, pairs) and np.array_equal(cons.normals, normals)
+    for t in (0.0, 0.37, 1.0):
+        assert np.array_equal(cons.values(t), values(t))
+    return cons
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["normal-only-first", "full-first"])
+def test_full_condition_wins_where_conditions_share_nodes(reverse):
+    system = example1_system(4, HIGH_ORDER)
+    f1, f2 = _polynomial(1.0), _polynomial(2.0)
+    bcs = [DirichletBC("uf", ("wall",), normal_only=True), DirichletBC("uf", ("interface",), value=f1),
+           DirichletBC("eta", ("outer",), normal_only=True), DirichletBC("eta", ("outer",), value=f1)]
+    bcs = bcs[::-1] if reverse else bcs
+    bcs.append(DirichletBC("eta", ("outer",), value=f2))     # the last full condition gives the value
+    cons = _matches_node_by_node(system.spaces, system.offsets, bcs)
+    # the two fluid nodes on both the wall and the interface take f1, unrotated
+    mesh_f = system.spaces["uf"].mesh
+    for x in (0.0, 1.0):
+        v = int(np.flatnonzero((mesh_f.nodes == [x, 0.0]).all(axis=1))[0])
+        dofs = system.offsets["uf"] + np.array([2 * v, 2 * v + 1])
+        pos = np.searchsorted(cons.fixed, dofs)
+        assert np.array_equal(cons.fixed[pos], dofs) and not np.isin(cons.pairs, dofs).any()
+        assert np.array_equal(cons.values(0.37)[pos], f1(mesh_f.nodes[[v]], 0.37)[0])
+    # the displacement holds exactly what the last full condition alone gives
+    eta = system.dofs(("eta",))
+    alone = build_constraints(system.spaces, system.offsets, [DirichletBC("eta", ("outer",), value=f2)])
+    got, want = cons.restrict(eta), alone.restrict(eta)
+    assert not len(got.pairs) and np.array_equal(got.fixed, want.fixed)
+    assert np.array_equal(got.values(0.37), want.values(0.37))
+
+
+@pytest.mark.parametrize("family", ["VecP1", "VecP2"])
+def test_node_whose_normals_differ_is_pinned(family):
+    """A square tilted by 0.3 rad, with two wall nodes moved off the wall:
+    one by 1e-10, whose two edge normals stay within 1e-8 (a rotated pair on
+    their mean normal), one by 1e-6 (a corner, both components pinned)."""
+    m = build_structured((0.0, 1.0, 0.0, 1.0), 4, 4, "fluid",
+                         {"left": "left", "right": "right", "top": "top", "bottom": "bottom"})
+    nodes = m.nodes.copy()
+    bent, kinked = (int(np.flatnonzero((nodes == [0.0, y]).all(axis=1))[0]) for y in (0.25, 0.75))
+    nodes[bent, 0] += 1e-10
+    nodes[kinked, 0] -= 1e-6
+    nodes = nodes @ np.array([[np.cos(0.3), np.sin(0.3)], [-np.sin(0.3), np.cos(0.3)]])
+    mesh = Mesh2D(nodes=nodes, tris=m.tris, tri_tags=m.tri_tags, bedges=m.bedges, bedge_tags=m.bedge_tags)
+    spaces, offsets = {"uf": make_space(mesh, family)}, {"uf": 0}
+    bcs = [DirichletBC("uf", ("left", "top", "right"), normal_only=True),
+           DirichletBC("uf", ("top",), value=_polynomial(1.0)),
+           DirichletBC("uf", ("bottom",), normal_only=True),
+           DirichletBC("uf", ("right", "bottom"), normal_only=True)]
+    cons = _matches_node_by_node(spaces, offsets, bcs)
+    assert np.isin([2 * kinked, 2 * kinked + 1], cons.fixed).all()
+    assert not np.isin(2 * kinked, cons.pairs)
+    row = np.flatnonzero(cons.pairs[:, 0] == 2 * bent)
+    assert len(row) == 1 and 2 * bent in cons.fixed and 2 * bent + 1 not in cons.fixed
+    left = np.array([-np.cos(0.3), -np.sin(0.3)])
+    assert np.abs(cons.normals[row[0]] - left).max() < 1e-9
+    corners = np.flatnonzero(np.isin(m.nodes, [0.0, 1.0]).all(axis=1))
+    assert len(corners) == 4 and np.isin([2 * corners, 2 * corners + 1], cons.fixed).all()
 
 
 def test_bmat_fields_checks_block_shapes():
@@ -304,7 +385,7 @@ def test_restricted_constraints_match_sub_layout(bc_system, names):
     got = bc_system.constraints.restrict(bc_system.dofs(names))
     want = _sub_layout_constraints(bc_system, names)
     assert np.array_equal(got.fixed, want.fixed)
-    assert got.rotations == want.rotations
+    assert np.array_equal(got.pairs, want.pairs) and np.array_equal(got.normals, want.normals)
     for t in (0.0, 0.37):
         assert np.array_equal(got.values(t), want.values(t))
 
@@ -312,22 +393,22 @@ def test_restricted_constraints_match_sub_layout(bc_system, names):
 def test_rotation_matches_entry_by_entry_build(bc_system, request):
     cons = bc_system.constraints
     if request.node.callspec.params["bc_system"] == "example2":
-        assert len(cons.rotations) == 121
+        assert len(cons.pairs) == 121
     n = bc_system.n_dofs
     want = sp.identity(n, format="lil")
-    for dx, dy, nx, ny in cons.rotations:
+    for (dx, dy), (nx, ny) in zip(cons.pairs.tolist(), cons.normals.tolist()):
         want[dx, dx], want[dx, dy] = nx, ny
         want[dy, dx], want[dy, dy] = -ny, nx
     want = want.tocsr()
     got = cons.rotation(n)
-    assert any(0.0 in r[2:] for r in cons.rotations)     # zero components store no entry
+    assert (cons.normals == 0.0).any()     # zero components store no entry
     for attr in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(got, attr), getattr(want, attr))
 
 
 def test_restrict_rejects_a_split_rotated_pair(slip_problem):
     _, cons, *_ = slip_problem
-    dx, dy = cons.rotations[0][:2]
+    dx, dy = cons.pairs[0]
     keep = np.setdiff1d(np.arange(max(dx, dy) + 1), [dy])
     with pytest.raises(ValueError, match="split"):
         cons.restrict(keep)
@@ -543,13 +624,11 @@ def test_energy_identity_recomputes_writable_state(example1_run):
     system, states, _ = example1_run
     prev, cur = states[-2], states[-1]
     assert not cur.X.flags.writeable
-    carried = [energy_identity_residual(system, cur, prev) for _ in range(2)]
-    assert carried[0] == carried[1] and cur.carried is not None
-    # the same values in writable states: nothing is carried, the residual
-    # is bit-identical to the carried one
+    first = [energy_identity_residual(system, cur, prev) for _ in range(2)]
+    assert first[0] == first[1]
+    # the same values in writable states give a bit-identical residual
     fresh_prev, fresh = (TransientState(X=s.X.copy(), n=s.n, tau=s.tau) for s in (prev, cur))
-    assert energy_identity_residual(system, fresh, fresh_prev) == carried[0]
-    assert fresh.carried is None and fresh_prev.carried is None
+    assert energy_identity_residual(system, fresh, fresh_prev) == first[0]
     # a change after the first call is seen by the second, which equals the
     # residual of a new state holding the changed values
     system.view(fresh.X, "pp")[:] *= 1.0 + 1e-3
